@@ -33,7 +33,6 @@ from .solver import (
     SamePairError,
     SizeLimitExceededError,
     SolveStats,
-    Sphere,
     build_instance_full,
     build_instance_rooted,
     dim_k,
@@ -47,7 +46,6 @@ from .solver import (
     representation,
     solve_exact,
     sphere_pairs,
-    spheres,
 )
 from .bounds import (
     BoundReport,
@@ -62,7 +60,6 @@ from .bounds import (
 )
 from .chemgen import (
     BadRootSetError,
-    FamilySpec,
     armchair,
     bridge_path_uniform,
     cycle_with_even_roots,

@@ -19,26 +19,12 @@ position on the original cycle or path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, GraphError, cycle_graph, girth, path_graph
 from .products import ProductGraph, RootedGraph, bridge_path, hierarchical_product
 
 
 class BadRootSetError(GraphError):
     """An explicit root-set override has wrong arity or invalid members."""
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """CLI-facing description of a generator invocation."""
-
-    family: str  # nanotube | polyhex_row | polyhex_stack | armchair | bridge_path
-    p: int
-    q: int | None = None
-    levels: int | None = None
-    d: int | None = None
-    roots: tuple[tuple[int, ...], ...] | None = None
 
 
 def cycle_with_even_roots(p: int) -> RootedGraph:
@@ -108,7 +94,7 @@ def _doubling_chain(
         meta = new_meta
         levels *= 2
         g = product.graph.with_labels([_format_label(m) for m in meta])
-        product = ProductGraph(g, product.factor_dims, product.vertex_map)
+        product = ProductGraph(g, product.factor_dims)
     assert product is not None
     return product
 
@@ -205,15 +191,3 @@ def bridge_path_uniform(g: Graph, u: int, d: int) -> Graph:
         raise GraphError("bridge_path_uniform: bijection to the product failed")
     return bridged
 
-
-def build_family(spec: FamilySpec) -> Graph:
-    """Dispatch a FamilySpec to its generator and return the plain graph."""
-    if spec.family == "nanotube":
-        return nanotube(spec.p, spec.q if spec.q is not None else 1, spec.roots).graph
-    if spec.family == "polyhex_row":
-        return polyhex_row(spec.p).graph
-    if spec.family == "polyhex_stack":
-        return polyhex_stack(spec.p, spec.levels if spec.levels is not None else 3, spec.roots).graph
-    if spec.family == "armchair":
-        return armchair(spec.p, spec.levels if spec.levels is not None else 3, spec.roots).graph
-    raise GraphError(f"unknown family {spec.family!r}")

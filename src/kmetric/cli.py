@@ -4,8 +4,8 @@ Subcommands: dim, maxk, product, gen, bound, verify-table, export-dot.
 Vertex labels in human-readable output are 1-based (v1, v2, ...); file
 formats and command-line vertex arguments are 0-based.  Exit codes: 0
 success (an infinite dimension is an answer, not a failure), 2 input parse
-error, 3 invalid k / roots / parameters, 4 internal consistency failure
-(oracle or distance-formula mismatch, never expected).
+error, 3 invalid or missing k / roots / files / parameters, 4 internal
+consistency failure (oracle or distance-formula mismatch, never expected).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -68,21 +67,6 @@ def _parse_roots(spec: str, n: int) -> tuple[int, ...]:
     return roots
 
 
-def _thread_count(args) -> int:
-    # Accepted for interface compatibility; the solver is sequential and
-    # deterministic, so results are identical for any value.
-    raw = args.threads if args.threads is not None else os.environ.get("KMETRIC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise CliError(f"invalid thread count {raw!r}", EXIT_INVALID) from None
-    if val < 1:
-        raise CliError(f"thread count must be >= 1, got {val}", EXIT_INVALID)
-    return val
-
-
 def _digest(g: Graph) -> str:
     return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
 
@@ -112,29 +96,22 @@ def _print_dim(res: DimResult, as_json: bool) -> None:
 
 def cmd_dim(args) -> int:
     g = _load_graph(args.graph)
-    _thread_count(args)
     if args.k < 1:
         raise CliError(f"k must be >= 1, got {args.k}", EXIT_INVALID)
     started = time.perf_counter()
     if args.rooted is not None:
-        rg = RootedGraph(g, _parse_roots(args.rooted, g.n))
-        res = dim_k_rooted(rg, args.k)
-        if args.oracle:
-            check = oracle_dim_rooted(rg, args.k, limit=args.oracle_limit)
-            if check.value != res.value:
-                raise CliError(
-                    f"oracle mismatch: solver {res.value} vs oracle {check.value}",
-                    EXIT_MISMATCH,
-                )
+        subject = RootedGraph(g, _parse_roots(args.rooted, g.n))
+        solve, oracle = dim_k_rooted, oracle_dim_rooted
     else:
-        res = dim_k(g, args.k)
-        if args.oracle:
-            check = oracle_dim(g, args.k, limit=args.oracle_limit)
-            if check.value != res.value:
-                raise CliError(
-                    f"oracle mismatch: solver {res.value} vs oracle {check.value}",
-                    EXIT_MISMATCH,
-                )
+        subject, solve, oracle = g, dim_k, oracle_dim
+    res = solve(subject, args.k)
+    if args.oracle:
+        check = oracle(subject, args.k, limit=args.oracle_limit)
+        if check.value != res.value:
+            raise CliError(
+                f"oracle mismatch: solver {res.value} vs oracle {check.value}",
+                EXIT_MISMATCH,
+            )
     elapsed = time.perf_counter() - started
     _print_dim(res, args.json)
     _append_log(args, {
@@ -171,7 +148,7 @@ def cmd_maxk(args) -> int:
 
 
 def _emit_graph(args, g: Graph) -> None:
-    text = graph_to_dot(g) if getattr(args, "dot", False) else graph_to_text(g)
+    text = graph_to_dot(g) if args.dot else graph_to_text(g)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -233,6 +210,8 @@ def cmd_gen(args) -> int:
         elif args.family == "armchair":
             g = chemgen.armchair(args.p, args.levels).graph
         else:  # bridge
+            if args.graph is None:
+                raise CliError("bridge family needs --graph", EXIT_INVALID)
             base = _load_graph(args.graph)
             if not (0 <= args.root < base.n):
                 raise CliError(f"root {args.root} out of range", EXIT_INVALID)
@@ -257,19 +236,20 @@ def _print_report(report: bnd.BoundReport, as_json: bool) -> None:
 
 
 def cmd_bound(args) -> int:
+    if args.which in ("t1", "t2", "splice", "link"):
+        if args.graph is None or args.second is None:
+            raise CliError(f"{args.which} bound needs --graph and --second", EXIT_INVALID)
+        g = _load_graph(args.graph)
+        h = _load_graph(args.second)
     try:
         if args.which == "t1":
-            g = _load_graph(args.graph)
-            h = _load_graph(args.second)
+            if args.roots is None:
+                raise CliError("t1 bound needs --roots", EXIT_INVALID)
             rg = RootedGraph(g, _parse_roots(args.roots, g.n))
             report = bnd.theorem1_upper(rg, h, args.k, compare_exact=args.exact)
         elif args.which == "t2":
-            g = _load_graph(args.graph)
-            h = _load_graph(args.second)
             report = bnd.theorem2_exact(g, args.root, h, args.k, compare_exact=args.exact)
         elif args.which in ("splice", "link"):
-            g = _load_graph(args.graph)
-            h = _load_graph(args.second)
             report = bnd.splice_link_lower(
                 g, args.a, h, args.b, args.k, mode=args.which, compare_exact=args.exact
             )
@@ -350,13 +330,7 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
-    text = graph_to_dot(g)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_graph(args, _load_graph(args.graph))
     return 0
 
 
@@ -376,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the exhaustive oracle")
     p_dim.add_argument("--oracle-limit", type=int, default=16)
     p_dim.add_argument("--json", action="store_true")
-    p_dim.add_argument("--threads", default=None,
-                       help="accepted for compatibility; solver is sequential and deterministic")
     p_dim.add_argument("--log", default=None, help="append a JSON run record to this file")
     p_dim.set_defaults(func=cmd_dim)
 
@@ -440,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot = sub.add_parser("export-dot", help="convert an edge-list file to DOT")
     p_dot.add_argument("graph")
     p_dot.add_argument("-o", "--output", default="-")
-    p_dot.set_defaults(func=cmd_export_dot)
+    p_dot.set_defaults(func=cmd_export_dot, dot=True)
 
     return parser
 

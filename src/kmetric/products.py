@@ -41,13 +41,12 @@ class ProductGraph:
 
     graph: Graph
     factor_dims: tuple[int, int]
-    vertex_map: tuple[tuple[int, int], ...]
 
     def index_of(self, g: int, h: int) -> int:
         return g * self.factor_dims[1] + h
 
     def pair_of(self, idx: int) -> tuple[int, int]:
-        return self.vertex_map[idx]
+        return divmod(idx, self.factor_dims[1])
 
 
 def through_root_distance(rg: RootedGraph, dm: DistanceMatrix, g: int, g2: int) -> int:
@@ -74,8 +73,7 @@ def hierarchical_product(rg: RootedGraph, h: Graph) -> ProductGraph:
         f"({g.label(gv)},{h.label(hv)})" for gv in range(g.n) for hv in range(nh)
     ]
     product = build_graph(g.n * nh, edges, labels=labels)
-    vertex_map = tuple((gv, hv) for gv in range(g.n) for hv in range(nh))
-    return ProductGraph(product, (g.n, nh), vertex_map)
+    return ProductGraph(product, (g.n, nh))
 
 
 def hierarchical_distance(

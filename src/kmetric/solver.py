@@ -6,7 +6,10 @@ distinguishers inside S; the k-metric dimension is the minimum size of such
 a set, or infinite when some pair has fewer than k distinguishers in the
 whole graph.  Minimizing |S| subject to per-pair coverage constraints is a
 set-multicover problem with uniform demand k, solved here by a purpose-built
-branch-and-bound over vertex inclusion.
+branch-and-bound over vertex inclusion.  One depth-first kernel does all the
+search and takes its branching rule as an argument: max-gain (the vertex in
+the most deficient rows) builds the greedy incumbent and proves the optimum,
+then lowest-index finds the lexicographically smallest basis of that size.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -177,38 +180,20 @@ def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
     return MulticoverInstance(dm.n, rows, k)
 
 
-@dataclass(frozen=True)
-class Sphere:
-    """Vertices at exact distance ``radius`` from a root vertex.
+def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], ...]:
+    """Deduplicated pairs lying on a common distance sphere around a root.
 
-    Spheres with at most one member impose no distinguishing constraints.
+    A sphere is the set of vertices at one exact distance >= 1 from a root.
     """
-
-    center: int
-    radius: int
-    members: tuple[int, ...]
-
-
-def spheres(rg: RootedGraph, dm: DistanceMatrix) -> list[Sphere]:
-    """All nonempty distance spheres (radius >= 1) around the roots."""
-    out = []
+    pairs: set[tuple[int, int]] = set()
     for u in rg.roots:
         by_radius: dict[int, list[int]] = {}
         for w in range(dm.n):
             ell = dm[u, w]
             if ell >= 1:
                 by_radius.setdefault(ell, []).append(w)
-        for ell in sorted(by_radius):
-            out.append(Sphere(u, ell, tuple(by_radius[ell])))
-    return out
-
-
-def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], ...]:
-    """Deduplicated pairs lying on a common distance sphere around a root."""
-    pairs: set[tuple[int, int]] = set()
-    for sphere in spheres(rg, dm):
-        if len(sphere.members) >= 2:
-            pairs.update(combinations(sphere.members, 2))
+        for members in by_radius.values():
+            pairs.update(combinations(members, 2))
     return tuple(sorted(pairs))
 
 
@@ -237,41 +222,19 @@ def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
     return kept, dropped
 
 
-def _greedy_cover(masks: list[int], k: int, n: int) -> tuple[int, int]:
-    """Greedy multicover: repeatedly take the vertex hitting the most
-    deficient rows.  Returns (size, chosen_mask); feasibility is assumed."""
-    deficits = [k] * len(masks)
-    chosen = 0
-    count = 0
-    while True:
-        gain = [0] * n
-        active = False
-        for r, m in enumerate(masks):
-            if deficits[r] > 0:
-                active = True
-                free = m & ~chosen
-                while free:
-                    low = free & -free
-                    gain[low.bit_length() - 1] += 1
-                    free ^= low
-        if not active:
-            return count, chosen
-        best_v = max(range(n), key=lambda v: (gain[v], -v))
-        bit = 1 << best_v
-        chosen |= bit
-        count += 1
-        for r, m in enumerate(masks):
-            if m & bit:
-                deficits[r] -= 1
-
-
 class _Search:
-    """Branch-and-bound state shared by the two solve phases."""
+    """Depth-first branch-and-bound over vertex inclusion.
+
+    One kernel, ``run``, serves both solve phases; they differ only in the
+    branching rule passed in.  ``max_gain`` picks the vertex lying in the
+    most deficient rows (smallest index on ties) and drives phase 1 and the
+    greedy incumbent.  ``lowest_index`` picks the smallest available vertex
+    of some deficient row and drives phase 2.  ``deficits`` holds each row's
+    remaining demand along the current include path.
+    """
 
     def __init__(self, masks: list[int], k: int, n: int):
         self.masks = masks
-        self.k = k
-        self.n = n
         self.deficits = [k] * len(masks)
         self.rows_of = [[] for _ in range(n)]
         for r, m in enumerate(masks):
@@ -295,28 +258,12 @@ class _Search:
                     max_def = d
         return max_def
 
-    def _include(self, v: int) -> None:
+    def _shift(self, v: int, delta: int) -> None:
+        """Include v (delta -1) or undo its inclusion (delta +1)."""
         for r in self.rows_of[v]:
-            self.deficits[r] -= 1
+            self.deficits[r] += delta
 
-    def _undo(self, v: int) -> None:
-        for r in self.rows_of[v]:
-            self.deficits[r] += 1
-
-    # Phase 1: optimal value.  Branches on the vertex present in the most
-    # deficient rows (smallest index on ties), include branch first.
-    def find_value(self, count: int, chosen: int, avail: int) -> None:
-        self.nodes += 1
-        max_def = self._bound_or_prune(avail)
-        if max_def < 0:
-            return
-        if max_def == 0:
-            if count < self.best_value:
-                self.best_value = count
-                self.best_mask = chosen
-            return
-        if count + max_def >= self.best_value:
-            return
+    def max_gain(self, avail: int) -> int:
         gain = {}
         for r, d in enumerate(self.deficits):
             if d > 0:
@@ -326,39 +273,56 @@ class _Search:
                     v = low.bit_length() - 1
                     gain[v] = gain.get(v, 0) + 1
                     free ^= low
-        branch_v = max(gain, key=lambda v: (gain[v], -v))
-        bit = 1 << branch_v
-        self._include(branch_v)
-        self.find_value(count + 1, chosen | bit, avail & ~bit)
-        self._undo(branch_v)
-        self.find_value(count, chosen, avail & ~bit)
+        return max(gain, key=lambda v: (gain[v], -v))
 
-    # Phase 2: lexicographically smallest witness of the optimal value.
-    # Ascending-index branching with the include branch first visits
-    # equal-size vertex sets in lexicographic order, so the first feasible
-    # set within the budget is the lex-smallest optimal basis.
-    def find_lex_witness(self, count: int, chosen: int, avail: int, budget: int):
-        self.nodes += 1
-        max_def = self._bound_or_prune(avail)
-        if max_def < 0:
-            return None
-        if max_def == 0:
-            return chosen
-        if count + max_def > budget:
-            return None
+    def lowest_index(self, avail: int) -> int:
         useful = 0
         for r, d in enumerate(self.deficits):
             if d > 0:
                 useful |= self.masks[r]
         useful &= avail
-        bit = useful & -useful
-        v = bit.bit_length() - 1
-        self._include(v)
-        found = self.find_lex_witness(count + 1, chosen | bit, avail & ~bit, budget)
-        self._undo(v)
-        if found is not None:
-            return found
-        return self.find_lex_witness(count, chosen, avail & ~bit, budget)
+        return (useful & -useful).bit_length() - 1
+
+    def greedy(self, full: int) -> None:
+        """Incumbent: include the max-gain vertex until no row is deficient.
+
+        Each deficient row of a feasible instance keeps a free vertex, so a
+        vertex of zero gain is never chosen.
+        """
+        chosen = 0
+        while max(self.deficits) > 0:
+            v = self.max_gain(full & ~chosen)
+            self._shift(v, -1)
+            chosen |= 1 << v
+        for v in _mask_to_tuple(chosen):
+            self._shift(v, 1)
+        self.best_value, self.best_mask = chosen.bit_count(), chosen
+
+    def run(self, count: int, chosen: int, avail: int, branch, first_only: bool) -> bool:
+        """Search below one node, include branch first; True means stop.
+
+        Covers smaller than ``best_value`` replace the incumbent; with
+        ``first_only`` the first such cover ends the search.  A node is cut
+        when some row cannot be completed from ``avail`` or when even its
+        largest deficit cannot fit under the incumbent.
+        """
+        self.nodes += 1
+        max_def = self._bound_or_prune(avail)
+        if max_def < 0:
+            return False
+        if max_def == 0:
+            if count < self.best_value:
+                self.best_value = count
+                self.best_mask = chosen
+            return first_only
+        if count + max_def >= self.best_value:
+            return False
+        v = branch(avail)
+        bit = 1 << v
+        self._shift(v, -1)
+        stop = self.run(count + 1, chosen | bit, avail & ~bit, branch, first_only)
+        self._shift(v, 1)
+        return stop or self.run(count, chosen, avail & ~bit, branch, first_only)
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -389,19 +353,22 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     stats_rows = len(kept)
 
     search = _Search(kept, k, n)
-    ub, ub_mask = _greedy_cover(kept, k, n)
-    search.best_value = ub
-    search.best_mask = ub_mask
     full = (1 << n) - 1
-    search.find_value(0, 0, full)
+    search.greedy(full)
+    search.run(0, 0, full, search.max_gain, False)
 
-    budget = search.best_value
-    witness = search.find_lex_witness(0, 0, full, budget)
-    assert witness is not None, "phase 2 must rediscover the optimal value"
+    # Phase 2: an incumbent of optimum + 1 lets only covers of the optimal
+    # size through.  Ascending-index branching with the include branch first
+    # visits equal-size vertex sets in lexicographic order, so the first
+    # cover found is the lex-smallest optimal basis.
+    optimum = search.best_value
+    search.best_value = optimum + 1
+    search.run(0, 0, full, search.lowest_index, True)
+    assert search.best_value == optimum, "phase 2 must rediscover the optimal value"
     return DimResult(
         k,
-        budget,
-        _mask_to_tuple(witness),
+        optimum,
+        _mask_to_tuple(search.best_mask),
         True,
         SolveStats(nodes=search.nodes, rows=stats_rows, pruned=dropped),
     )

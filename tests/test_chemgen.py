@@ -2,10 +2,8 @@ import pytest
 
 from kmetric.chemgen import (
     BadRootSetError,
-    FamilySpec,
     armchair,
     bridge_path_uniform,
-    build_family,
     cycle_with_even_roots,
     nanotube,
     path_with_even_roots,
@@ -184,18 +182,6 @@ class TestBridgePathUniform:
     def test_invalid_d(self):
         with pytest.raises(GraphError):
             bridge_path_uniform(cycle_graph(4), 0, 0)
-
-
-class TestFamilySpec:
-    def test_dispatch(self):
-        assert build_family(FamilySpec("nanotube", p=4, q=1)).n == 16
-        assert build_family(FamilySpec("polyhex_row", p=2)).n == 14
-        assert build_family(FamilySpec("polyhex_stack", p=2, levels=3)).n == 28
-        assert build_family(FamilySpec("armchair", p=2, levels=3)).n == 56
-
-    def test_unknown_family(self):
-        with pytest.raises(GraphError):
-            build_family(FamilySpec("torus", p=2))
 
 
 class TestTableOneFamilies:

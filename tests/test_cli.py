@@ -81,14 +81,6 @@ class TestDimCommand:
         main(["dim", c4_file, "--k", "2", "--json"])
         assert capsys.readouterr().out == first
 
-    def test_thread_flag_accepted(self, p3_file, capsys, monkeypatch):
-        assert main(["dim", p3_file, "--k", "2", "--threads", "4"]) == 0
-        base = capsys.readouterr().out
-        monkeypatch.setenv("KMETRIC_THREADS", "2")
-        assert main(["dim", p3_file, "--k", "2"]) == 0
-        assert capsys.readouterr().out == base
-        assert main(["dim", p3_file, "--k", "2", "--threads", "0"]) == 3
-
     def test_run_record_log(self, p3_file, tmp_path, capsys):
         log = tmp_path / "session.jsonl"
         main(["dim", p3_file, "--k", "2", "--log", str(log)])
@@ -213,6 +205,20 @@ class TestBoundCommand:
                    "--root", "0", "--k", "2"])
         assert rc == 0
         assert "hypothesis not met" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "bridge"],
+    ["bound", "t1", "--k", "1"],
+    ["bound", "t2", "--k", "1"],
+    ["bound", "splice", "--k", "1"],
+    ["bound", "link", "--k", "1"],
+    ["bound", "t2", "--graph", "{c4}", "--k", "1"],
+    ["bound", "t1", "--graph", "{c4}", "--second", "{c4}", "--k", "1"],
+])
+def test_missing_file_or_roots_is_invalid(argv, c4_file, capsys):
+    assert main([a.format(c4=c4_file) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyTable:

@@ -16,6 +16,7 @@ from kmetric.solver import (
     MulticoverInstance,
     SamePairError,
     SizeLimitExceededError,
+    SolveStats,
     build_instance_full,
     build_instance_rooted,
     dim_k,
@@ -31,6 +32,7 @@ from kmetric.solver import (
     sphere_pairs,
 )
 from kmetric.catalog import connected_graphs, random_connected_graph
+from kmetric.chemgen import nanotube
 
 
 class TestRepresentation:
@@ -188,6 +190,13 @@ class TestSolveExact:
     def test_demand_zero(self):
         res = solve_exact(MulticoverInstance(3, ((0, 1),), 0))
         assert res.value == 0
+
+    @pytest.mark.parametrize("k, nodes", [(2, 242), (3, 1214), (4, 3438), (5, 1637)])
+    def test_f41_search_stats_pinned(self, k, nodes):
+        # The node count fixes the search order: the greedy incumbent, both
+        # branching rules and the prune all change it, and --json reports it.
+        res = dim_k(nanotube(4, 1).graph, k)
+        assert res.stats == SolveStats(nodes=nodes, rows=42, pruned=78)
 
 
 class TestDimK:
