@@ -30,6 +30,7 @@ from .products import (
 )
 from .solver import (
     DimResult,
+    SizeLimitExceededError,
     dim_k,
     dim_k_rooted,
     max_k,
@@ -104,14 +105,19 @@ def cmd_dim(args) -> int:
         solve, oracle = dim_k_rooted, oracle_dim_rooted
     else:
         subject, solve, oracle = g, dim_k, oracle_dim
-    res = solve(subject, args.k)
+    check = None
     if args.oracle:
-        check = oracle(subject, args.k, limit=args.oracle_limit)
-        if check.value != res.value:
-            raise CliError(
-                f"oracle mismatch: solver {res.value} vs oracle {check.value}",
-                EXIT_MISMATCH,
-            )
+        # Before the solve, so an oversized graph is refused at once.
+        try:
+            check = oracle(subject, args.k, limit=args.oracle_limit)
+        except SizeLimitExceededError as exc:
+            raise CliError(str(exc), EXIT_INVALID) from exc
+    res = solve(subject, args.k)
+    if check is not None and check.value != res.value:
+        raise CliError(
+            f"oracle mismatch: solver {res.value} vs oracle {check.value}",
+            EXIT_MISMATCH,
+        )
     elapsed = time.perf_counter() - started
     _print_dim(res, args.json)
     _append_log(args, {
@@ -239,6 +245,8 @@ def cmd_bound(args) -> int:
     if args.which in ("t1", "t2", "splice", "link"):
         if args.graph is None or args.second is None:
             raise CliError(f"{args.which} bound needs --graph and --second", EXIT_INVALID)
+        if args.k < 1:
+            raise CliError(f"k must be >= 1, got {args.k}", EXIT_INVALID)
         g = _load_graph(args.graph)
         h = _load_graph(args.second)
     try:

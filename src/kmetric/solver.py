@@ -10,6 +10,11 @@ branch-and-bound over vertex inclusion.  One depth-first kernel does all the
 search and takes its branching rule as an argument: max-gain (the vertex in
 the most deficient rows) builds the greedy incumbent and proves the optimum,
 then lowest-index finds the lexicographically smallest basis of that size.
+The kernel keeps per-row deficits and slack, a histogram of deficit levels
+and row bitsets for the gains, and updates them in place, so a branching
+step touches only the rows of the branched vertex.  It walks the tree with
+an explicit stack, so the search depth, which can reach the number of
+vertices, does not depend on Python's recursion limit.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -223,106 +228,190 @@ def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
 
 
 class _Search:
-    """Depth-first branch-and-bound over vertex inclusion.
+    """Depth-first branch-and-bound over vertex inclusion, updated in place.
 
     One kernel, ``run``, serves both solve phases; they differ only in the
     branching rule passed in.  ``max_gain`` picks the vertex lying in the
     most deficient rows (smallest index on ties) and drives phase 1 and the
     greedy incumbent.  ``lowest_index`` picks the smallest available vertex
-    of some deficient row and drives phase 2.  ``deficits`` holds each row's
-    remaining demand along the current include path.
+    of some deficient row and drives phase 2.
+
+    The state of the current node is kept incrementally, and a move touches
+    only the rows of the branched vertex:
+
+    - ``deficit[r]``: the demand row r still lacks on the include path;
+    - ``slack[r]``: ``|row r & avail| - deficit[r]``.  Including a vertex
+      leaves it unchanged and excluding one lowers it by 1; the node is
+      infeasible exactly when some slack is negative, and ``negative``
+      counts those rows;
+    - ``hist[d]``: the number of rows with deficit d, for d = 1..k, so the
+      largest deficit is the highest non-empty level; ``hist[0]`` counts
+      the rows with no deficit left;
+    - ``deficient``: the bitset of rows with deficit > 0, and ``cols[v]``:
+      the bitset of rows containing v while v is available, 0 once it is
+      included or excluded.  The gain of v, the number of deficient rows
+      containing it, is ``(cols[v] & deficient).bit_count()``.
+
+    Each move has an exact inverse, so leaving a node restores every piece
+    of state.  ``run`` walks the tree with an explicit stack of branched
+    vertices instead of recursion, so the depth (up to n) is not bounded by
+    Python's recursion limit.
     """
 
     def __init__(self, masks: list[int], k: int, n: int):
-        self.masks = masks
-        self.deficits = [k] * len(masks)
+        self.k = k
         self.rows_of = [[] for _ in range(n)]
         for r, m in enumerate(masks):
-            free = m
-            while free:
-                low = free & -free
-                self.rows_of[low.bit_length() - 1].append(r)
-                free ^= low
+            for v in _mask_to_tuple(m):
+                self.rows_of[v].append(r)
+        self.col_of = [sum(1 << r for r in rows) for rows in self.rows_of]
+        self.cols = list(self.col_of)
+        self.deficient = (1 << len(masks)) - 1
+        self.deficit = [k] * len(masks)
+        self.slack = [m.bit_count() - k for m in masks]
+        self.negative = 0
+        self.hist = [0] * (k + 1)
+        self.hist[k] = len(masks)
         self.nodes = 0
         self.best_value = 0
         self.best_mask = 0
 
-    def _bound_or_prune(self, avail: int) -> int:
-        """Max remaining deficit, or -1 when some row cannot be completed."""
-        max_def = 0
-        for r, d in enumerate(self.deficits):
-            if d > 0:
-                if (self.masks[r] & avail).bit_count() < d:
-                    return -1
-                if d > max_def:
-                    max_def = d
-        return max_def
+    def _max_def(self) -> int:
+        hist = self.hist
+        d = self.k
+        while d and not hist[d]:
+            d -= 1
+        return d
 
-    def _shift(self, v: int, delta: int) -> None:
-        """Include v (delta -1) or undo its inclusion (delta +1)."""
+    def _include(self, v: int) -> None:
+        deficit, hist = self.deficit, self.hist
+        self.cols[v] = 0
+        done = 0
         for r in self.rows_of[v]:
-            self.deficits[r] += delta
-
-    def max_gain(self, avail: int) -> int:
-        gain = {}
-        for r, d in enumerate(self.deficits):
+            d = deficit[r]
+            deficit[r] = d - 1
             if d > 0:
-                free = self.masks[r] & avail
-                while free:
-                    low = free & -free
-                    v = low.bit_length() - 1
-                    gain[v] = gain.get(v, 0) + 1
-                    free ^= low
-        return max(gain, key=lambda v: (gain[v], -v))
+                hist[d] -= 1
+                hist[d - 1] += 1
+                if d == 1:
+                    done |= 1 << r
+        self.deficient ^= done
 
-    def lowest_index(self, avail: int) -> int:
-        useful = 0
-        for r, d in enumerate(self.deficits):
+    def _undo_include(self, v: int) -> None:
+        deficit, hist = self.deficit, self.hist
+        undone = 0
+        for r in self.rows_of[v]:
+            d = deficit[r] + 1
+            deficit[r] = d
             if d > 0:
-                useful |= self.masks[r]
-        useful &= avail
-        return (useful & -useful).bit_length() - 1
+                hist[d - 1] -= 1
+                hist[d] += 1
+                if d == 1:
+                    undone |= 1 << r
+        self.deficient |= undone
+        self.cols[v] = self.col_of[v]
 
-    def greedy(self, full: int) -> None:
+    def _exclude(self, v: int) -> None:
+        slack = self.slack
+        self.cols[v] = 0
+        short = 0
+        for r in self.rows_of[v]:
+            s = slack[r]
+            slack[r] = s - 1
+            if not s:
+                short += 1
+        self.negative += short
+
+    def _undo_exclude(self, v: int) -> None:
+        slack = self.slack
+        mended = 0
+        for r in self.rows_of[v]:
+            s = slack[r] + 1
+            slack[r] = s
+            if not s:
+                mended += 1
+        self.negative -= mended
+        self.cols[v] = self.col_of[v]
+
+    def gains(self) -> list[int]:
+        """Per vertex, the deficient rows containing it; 0 when unavailable."""
+        deficient = self.deficient
+        return [(c & deficient).bit_count() for c in self.cols]
+
+    def max_gain(self) -> int:
+        gain = self.gains()
+        return gain.index(max(gain))
+
+    def lowest_index(self) -> int:
+        deficient = self.deficient
+        for v, c in enumerate(self.cols):
+            if c & deficient:
+                return v
+        raise AssertionError("a feasible deficient node has a useful vertex")
+
+    def greedy(self) -> None:
         """Incumbent: include the max-gain vertex until no row is deficient.
 
         Each deficient row of a feasible instance keeps a free vertex, so a
         vertex of zero gain is never chosen.
         """
-        chosen = 0
-        while max(self.deficits) > 0:
-            v = self.max_gain(full & ~chosen)
-            self._shift(v, -1)
-            chosen |= 1 << v
-        for v in _mask_to_tuple(chosen):
-            self._shift(v, 1)
-        self.best_value, self.best_mask = chosen.bit_count(), chosen
+        picked = []
+        while self._max_def():
+            v = self.max_gain()
+            self._include(v)
+            picked.append(v)
+        for v in reversed(picked):
+            self._undo_include(v)
+        self.best_value = len(picked)
+        self.best_mask = sum(1 << v for v in picked)
 
-    def run(self, count: int, chosen: int, avail: int, branch, first_only: bool) -> bool:
-        """Search below one node, include branch first; True means stop.
+    def run(self, branch, first_only: bool) -> None:
+        """Search the whole tree from the root, include branch first.
 
         Covers smaller than ``best_value`` replace the incumbent; with
         ``first_only`` the first such cover ends the search.  A node is cut
-        when some row cannot be completed from ``avail`` or when even its
-        largest deficit cannot fit under the incumbent.
+        when some row cannot be completed from the available vertices or
+        when even its largest deficit cannot fit under the incumbent.
+        ``path`` holds the branched vertices from the root: v where v was
+        included, ~v where it was excluded.
         """
-        self.nodes += 1
-        max_def = self._bound_or_prune(avail)
-        if max_def < 0:
-            return False
-        if max_def == 0:
-            if count < self.best_value:
-                self.best_value = count
-                self.best_mask = chosen
-            return first_only
-        if count + max_def >= self.best_value:
-            return False
-        v = branch(avail)
-        bit = 1 << v
-        self._shift(v, -1)
-        stop = self.run(count + 1, chosen | bit, avail & ~bit, branch, first_only)
-        self._shift(v, 1)
-        return stop or self.run(count, chosen, avail & ~bit, branch, first_only)
+        path: list[int] = []
+        count = 0
+        chosen = 0
+        while True:
+            self.nodes += 1
+            if not self.negative:
+                max_def = self._max_def()
+                if not max_def:
+                    if count < self.best_value:
+                        self.best_value = count
+                        self.best_mask = chosen
+                    if first_only:
+                        break
+                elif count + max_def < self.best_value:
+                    v = branch()
+                    self._include(v)
+                    path.append(v)
+                    count += 1
+                    chosen |= 1 << v
+                    continue
+            # Backtrack: undo the excludes above the deepest include, then
+            # turn that include into its exclude branch.
+            while path and path[-1] < 0:
+                self._undo_exclude(~path.pop())
+            if not path:
+                return
+            v = path[-1]
+            self._undo_include(v)
+            self._exclude(v)
+            path[-1] = ~v
+            count -= 1
+            chosen ^= 1 << v
+        for v in reversed(path):
+            if v < 0:
+                self._undo_exclude(~v)
+            else:
+                self._undo_include(v)
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -353,9 +442,8 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     stats_rows = len(kept)
 
     search = _Search(kept, k, n)
-    full = (1 << n) - 1
-    search.greedy(full)
-    search.run(0, 0, full, search.max_gain, False)
+    search.greedy()
+    search.run(search.max_gain, False)
 
     # Phase 2: an incumbent of optimum + 1 lets only covers of the optimal
     # size through.  Ascending-index branching with the include branch first
@@ -363,7 +451,7 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     # cover found is the lex-smallest optimal basis.
     optimum = search.best_value
     search.best_value = optimum + 1
-    search.run(0, 0, full, search.lowest_index, True)
+    search.run(search.lowest_index, True)
     assert search.best_value == optimum, "phase 2 must rediscover the optimal value"
     return DimResult(
         k,

@@ -60,6 +60,10 @@ class TestDimCommand:
     def test_oracle_agreement(self, c4_file, capsys):
         assert main(["dim", c4_file, "--k", "2", "--oracle"]) == 0
 
+    def test_oracle_limit_exceeded(self, c4_file, capsys):
+        assert main(["dim", c4_file, "--k", "1", "--oracle", "--oracle-limit", "3"]) == 3
+        assert capsys.readouterr().err == "error: universe 4 exceeds oracle limit 3\n"
+
     def test_invalid_k(self, p3_file, capsys):
         assert main(["dim", p3_file, "--k", "0"]) == 3
 
@@ -218,6 +222,13 @@ class TestBoundCommand:
 ])
 def test_missing_file_or_roots_is_invalid(argv, c4_file, capsys):
     assert main([a.format(c4=c4_file) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("which", ["t1", "t2", "splice", "link", "cycle-rooted", "nanotube"])
+def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
+    argv = ["bound", which, "--graph", c4_file, "--second", c4_file, "--roots", "0", "--k", "0"]
+    assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
 

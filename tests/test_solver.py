@@ -17,6 +17,8 @@ from kmetric.solver import (
     SamePairError,
     SizeLimitExceededError,
     SolveStats,
+    _prune_dominated,
+    _Search,
     build_instance_full,
     build_instance_rooted,
     dim_k,
@@ -32,7 +34,7 @@ from kmetric.solver import (
     sphere_pairs,
 )
 from kmetric.catalog import connected_graphs, random_connected_graph
-from kmetric.chemgen import nanotube
+from kmetric.chemgen import nanotube, polyhex_row
 
 
 class TestRepresentation:
@@ -197,6 +199,56 @@ class TestSolveExact:
         # branching rules and the prune all change it, and --json reports it.
         res = dim_k(nanotube(4, 1).graph, k)
         assert res.stats == SolveStats(nodes=nodes, rows=42, pruned=78)
+
+    @pytest.mark.parametrize("p, k, nodes", [
+        (2, 2, 220), (2, 3, 265), (2, 4, 777), (2, 5, 634),
+        (3, 2, 364), (3, 3, 1619), (3, 4, 2759), (3, 5, 6361),
+    ])
+    def test_polyhex_search_stats_pinned(self, p, k, nodes):
+        rows, pruned = {2: (24, 67), 3: (33, 120)}[p]
+        res = dim_k(polyhex_row(p).graph, k)
+        assert res.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
+
+    def test_depth_beyond_recursion_limit(self):
+        # Phase 2 excludes vertices 0..1498 one below the other before it
+        # reaches the cover {1499}: a search path 1,500 deep.
+        res = solve_exact(MulticoverInstance(1500, tuple((i, 1499) for i in range(1499)), 1))
+        assert res.value == 1 and res.basis == (1499,)
+
+
+def _search_state(search):
+    return (
+        list(search.deficit),
+        list(search.slack),
+        search.negative,
+        list(search.hist),
+        search.deficient,
+        list(search.cols),
+        search.gains(),
+    )
+
+
+def test_search_state_restored_after_each_phase():
+    # Every move of the kernel must have an exact inverse: after the greedy
+    # incumbent, phase 1 and the early-stopping phase 2, each piece of
+    # incremental state is back at its value at the root.
+    rng = random.Random(26)
+    for _ in range(200):
+        n = rng.randint(3, 12)
+        k = rng.randint(1, 3)
+        rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
+        masks, _ = _prune_dominated([sum(1 << v for v in row) for row in rows])
+        search = _Search(masks, k, n)
+        root = _search_state(search)
+        search.greedy()
+        assert _search_state(search) == root
+        search.run(search.max_gain, False)
+        assert _search_state(search) == root
+        optimum = search.best_value
+        search.best_value = optimum + 1
+        search.run(search.lowest_index, True)
+        assert _search_state(search) == root
+        assert search.best_value == optimum
 
 
 class TestDimK:
