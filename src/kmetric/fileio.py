@@ -87,8 +87,9 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
 
 def instance_to_text(inst) -> str:
     """Dump format: line 1 ``n k r``, then r space-separated sorted rows."""
-    lines = [f"{inst.universe_size} {inst.demand} {len(inst.rows)}"]
-    for row in inst.rows:
+    rows = inst.rows
+    lines = [f"{inst.universe_size} {inst.demand} {len(rows)}"]
+    for row in rows:
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -98,7 +99,7 @@ def instance_from_text(text: str):
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     n, k, r = (int(x) for x in lines[0].split())
-    rows = [tuple(sorted(int(x) for x in ln.split())) for ln in lines[1 : 1 + r]]
+    rows = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
     if len(rows) != r:
         raise GraphError(f"instance dump declares {r} rows but {len(rows)} follow")
-    return MulticoverInstance(universe_size=n, rows=tuple(rows), demand=k)
+    return MulticoverInstance(universe_size=n, rows=rows, demand=k)

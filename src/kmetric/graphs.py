@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -76,6 +77,21 @@ class DistanceMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.d[i]
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """levels[u][d]: the bitset of vertices at distance d from u.
+
+        Computed on first use and kept, so every model built from this
+        matrix shares one copy.
+        """
+        out = []
+        for row in self.d:
+            by_d = [0] * (max(row) + 1)
+            for w, d in enumerate(row):
+                by_d[d] |= 1 << w
+            out.append(tuple(by_d))
+        return tuple(out)
 
 
 def build_graph(

@@ -6,15 +6,25 @@ distinguishers inside S; the k-metric dimension is the minimum size of such
 a set, or infinite when some pair has fewer than k distinguishers in the
 whole graph.  Minimizing |S| subject to per-pair coverage constraints is a
 set-multicover problem with uniform demand k, solved here by a purpose-built
-branch-and-bound over vertex inclusion.  One depth-first kernel does all the
-search and takes its branching rule as an argument: max-gain (the vertex in
-the most deficient rows) builds the greedy incumbent and proves the optimum,
-then lowest-index finds the lexicographically smallest basis of that size.
-The kernel keeps per-row deficits and slack, a histogram of deficit levels
-and row bitsets for the gains, and updates them in place, so a branching
-step touches only the rows of the branched vertex.  It walks the tree with
-an explicit stack, so the search depth, which can reach the number of
-vertices, does not depend on Python's recursion limit.
+branch-and-bound over vertex inclusion.
+
+Every row of the model is an int bitset over the vertices, built from
+distance levels: with ``E[u][d]`` the bitset of vertices at distance d from
+u (``DistanceMatrix.levels``, computed once per matrix), the vertices that
+do not distinguish (u, v) are the OR over d of ``E[u][d] & E[v][d]``, and
+the row is the complement of that.  ``max_k``, both model builders, the
+solver and the oracle all work on these masks; tuple rows are made only
+when a caller reads ``MulticoverInstance.rows``.
+
+One depth-first kernel does all the search and takes its branching rule as
+an argument: max-gain (the vertex in the most deficient rows) builds the
+greedy incumbent and proves the optimum, then lowest-index finds the
+lexicographically smallest basis of that size.  The kernel keeps per-row
+deficits and slack, a histogram of deficit levels and row bitsets for the
+gains, and updates them in place, so a branching step touches only the rows
+of the branched vertex.  It walks the tree with an explicit stack, so the
+search depth, which can reach the number of vertices, does not depend on
+Python's recursion limit.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -24,8 +34,9 @@ only on the instance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances
 from .products import RootedGraph
@@ -50,33 +61,61 @@ class SolveStats:
     pruned: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MulticoverInstance:
     """The coverage model: one binary variable per vertex, one row per pair.
 
-    Each row lists the distinguishers of one vertex pair; a feasible 0-1
+    Each row holds the distinguishers of one vertex pair; a feasible 0-1
     assignment must hit every row at least ``demand`` times.  The objective
     is the number of chosen vertices.
+
+    ``masks`` is the canonical form: row r is the int whose bit v is set
+    when vertex v is in the row.  ``MulticoverInstance(n, rows, k)`` takes
+    rows as vertex tuples (a repeated vertex counts once), ``from_masks``
+    takes the masks themselves, and ``rows`` gives the sorted tuples back,
+    made from the masks each time it is read.
     """
 
     universe_size: int
-    rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     demand: int
 
-    def __post_init__(self):
-        if self.demand < 0:
-            raise ValueError(f"demand must be >= 0, got {self.demand}")
-        for row in self.rows:
-            if row and (row[0] < 0 or row[-1] >= self.universe_size):
-                raise ValueError(f"row {row} outside universe 0..{self.universe_size - 1}")
+    def __init__(self, universe_size: int, rows, demand: int):
+        masks = []
+        for row in rows:
+            if min(row, default=0) < 0:
+                raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
+            masks.append(_mask_of(row))
+        self._set(universe_size, tuple(masks), demand)
+
+    @classmethod
+    def from_masks(cls, universe_size: int, masks, demand: int) -> "MulticoverInstance":
+        inst = object.__new__(cls)
+        inst._set(universe_size, tuple(masks), demand)
+        return inst
+
+    def _set(self, universe_size: int, masks: tuple[int, ...], demand: int) -> None:
+        if demand < 0:
+            raise ValueError(f"demand must be >= 0, got {demand}")
+        if masks and (min(masks) < 0 or max(masks) >> universe_size):
+            bad = next(m for m in masks if m < 0 or m >> universe_size)
+            row = _mask_to_tuple(bad) if bad > 0 else f"mask {bad}"
+            raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
+        object.__setattr__(self, "universe_size", universe_size)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "demand", demand)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_mask_to_tuple, self.masks))
 
     @property
     def feasible(self) -> bool:
-        return all(len(row) >= self.demand for row in self.rows)
+        return all(m.bit_count() >= self.demand for m in self.masks)
 
     def satisfied_by(self, selected) -> bool:
-        chosen = set(selected)
-        return all(len(chosen.intersection(row)) >= self.demand for row in self.rows)
+        chosen = _mask_of(selected)
+        return all((m & chosen).bit_count() >= self.demand for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -137,9 +176,28 @@ def distinguishers(dm: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     """Vertices w with d(w,u) != d(w,v); always contains u and v."""
     if u == v:
         raise SamePairError(f"pair ({u},{v}) is not a pair")
-    du = dm.row(u)
-    dv = dm.row(v)
-    return tuple(w for w in range(dm.n) if du[w] != dv[w])
+    return _mask_to_tuple(_pair_mask((1 << dm.n) - 1, dm.levels[u], dm.levels[v]))
+
+
+def _pair_mask(full: int, eu: tuple[int, ...], ev: tuple[int, ...]) -> int:
+    """Distinguisher bitset of (u, v) from their distance levels.
+
+    The levels of one vertex are disjoint, so the per-level intersections
+    are too, and their sum is their OR: the vertices equidistant from u
+    and v.
+    """
+    return full ^ sum(map(int.__and__, eu, ev))
+
+
+def _full_masks(dm: DistanceMatrix) -> Iterator[int]:
+    """Distinguisher bitsets of all pairs (i, j), i < j, in lexicographic order."""
+    levels = dm.levels
+    full = (1 << dm.n) - 1
+    return (
+        _pair_mask(full, eu, ev)
+        for i, eu in enumerate(levels)
+        for ev in levels[i + 1:]
+    )
 
 
 def max_k(dm: DistanceMatrix) -> int | float:
@@ -151,11 +209,7 @@ def max_k(dm: DistanceMatrix) -> int | float:
     """
     if dm.n < 2:
         return INFINITE
-    return min(
-        len(distinguishers(dm, u, v))
-        for u in range(dm.n)
-        for v in range(u + 1, dm.n)
-    )
+    return min(map(int.bit_count, _full_masks(dm)))
 
 
 def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
@@ -177,12 +231,7 @@ def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
 
 def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
     """One row per unordered vertex pair, in (i, j) lexicographic order."""
-    rows = tuple(
-        distinguishers(dm, i, j)
-        for i in range(dm.n)
-        for j in range(i + 1, dm.n)
-    )
-    return MulticoverInstance(dm.n, rows, k)
+    return MulticoverInstance.from_masks(dm.n, _full_masks(dm), k)
 
 
 def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], ...]:
@@ -209,8 +258,10 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
     to minimizing the union of per-sphere generators, since each per-sphere
     generator may be taken equal to the union.
     """
-    rows = tuple(distinguishers(dm, x, y) for x, y in sphere_pairs(rg, dm))
-    return MulticoverInstance(dm.n, rows, k)
+    levels = dm.levels
+    full = (1 << dm.n) - 1
+    masks = [_pair_mask(full, levels[x], levels[y]) for x, y in sphere_pairs(rg, dm)]
+    return MulticoverInstance.from_masks(dm.n, masks, k)
 
 
 def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
@@ -414,13 +465,21 @@ class _Search:
                 self._undo_include(v)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The set bits of a non-negative mask, ascending."""
+    # bin() spells the bits high to low; reversed and turned into 0/1 bytes
+    # they select their own indices.
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _mask_of(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def solve_exact(inst: MulticoverInstance) -> DimResult:
@@ -432,12 +491,11 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     incumbent with a max-deficit counting bound, the second extracts the
     lexicographically smallest basis of that value.
     """
-    n, k = inst.universe_size, inst.demand
-    if k == 0 or not inst.rows:
-        return DimResult(k, 0, (), True, SolveStats(rows=len(inst.rows)))
-    masks = [sum(1 << v for v in row) for row in inst.rows]
-    if any(m.bit_count() < k for m in masks):
-        return DimResult(k, INFINITE, (), True, SolveStats(rows=len(inst.rows)))
+    n, k, masks = inst.universe_size, inst.demand, inst.masks
+    if k == 0 or not masks:
+        return DimResult(k, 0, (), True, SolveStats(rows=len(masks)))
+    if not inst.feasible:
+        return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
     kept, dropped = _prune_dominated(masks)
     stats_rows = len(kept)
 
@@ -483,19 +541,18 @@ def dim_k_rooted(rg: RootedGraph, k: int, dm: DistanceMatrix | None = None) -> D
 def oracle_solve(inst: MulticoverInstance, limit: int = ORACLE_SIZE_LIMIT) -> DimResult:
     """Exhaustive reference solver: subsets by increasing cardinality,
     lexicographic within a cardinality, first feasible wins."""
-    n, k = inst.universe_size, inst.demand
+    n, k, masks = inst.universe_size, inst.demand, inst.masks
     if n > limit:
         raise SizeLimitExceededError(f"universe {n} exceeds oracle limit {limit}")
-    if k == 0 or not inst.rows:
-        return DimResult(k, 0, (), True, SolveStats(rows=len(inst.rows)))
-    masks = [sum(1 << v for v in row) for row in inst.rows]
-    if any(m.bit_count() < k for m in masks):
-        return DimResult(k, INFINITE, (), True, SolveStats(rows=len(inst.rows)))
+    if k == 0 or not masks:
+        return DimResult(k, 0, (), True, SolveStats(rows=len(masks)))
+    if not inst.feasible:
+        return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
     for size in range(k, n + 1):
         for combo in combinations(range(n), size):
             chosen = sum(1 << v for v in combo)
             if all((m & chosen).bit_count() >= k for m in masks):
-                return DimResult(k, size, combo, True, SolveStats(rows=len(inst.rows)))
+                return DimResult(k, size, combo, True, SolveStats(rows=len(masks)))
     raise AssertionError("feasible instance must have a cover")
 
 

@@ -67,3 +67,10 @@ def test_instance_dump_round_trip():
     text = instance_to_text(inst)
     assert text.splitlines()[0] == "4 2 2"
     assert instance_from_text(text) == inst
+
+
+@pytest.mark.parametrize("body", ["0 1\n", "0 1\n1 2\n0 2\n"])
+def test_instance_dump_row_count_must_match(body):
+    # The header declares two rows; one fewer or one more is an error.
+    with pytest.raises(GraphError):
+        instance_from_text("3 1 2\n" + body)

@@ -65,6 +65,11 @@ class TestDistances:
     def test_k1(self):
         dm = all_pairs_distances(build_graph(1, []))
         assert dm.d == ((0,),)
+        assert dm.levels == ((0b1,),)
+
+    def test_p3_levels(self):
+        dm = all_pairs_distances(path_graph(3))
+        assert dm.levels == ((0b001, 0b010, 0b100), (0b010, 0b101), (0b100, 0b010, 0b001))
 
     def test_c4(self):
         dm = all_pairs_distances(cycle_graph(4))

@@ -34,7 +34,7 @@ from kmetric.solver import (
     sphere_pairs,
 )
 from kmetric.catalog import connected_graphs, random_connected_graph
-from kmetric.chemgen import nanotube, polyhex_row
+from kmetric.chemgen import armchair, nanotube, polyhex_row
 
 
 class TestRepresentation:
@@ -95,6 +95,10 @@ class TestMaxK:
     def test_single_vertex_infinite_by_convention(self):
         assert max_k(all_pairs_distances(build_graph(1, []))) == INFINITE
 
+    @pytest.mark.parametrize("p, levels, expected", [(11, 3, 53), (15, 3, 61), (7, 7, 73)])
+    def test_wide_tubes_pinned(self, p, levels, expected):
+        assert max_k(all_pairs_distances(armchair(p, levels).graph)) == expected
+
 
 class TestIsKGenerator:
     def test_p3_paper_basis(self):
@@ -116,6 +120,36 @@ class TestIsKGenerator:
         dm = all_pairs_distances(path_graph(3))
         assert is_k_generator(dm, {1}, 1, pairs=[(0, 1)])
         assert not is_k_generator(dm, {1}, 1, pairs=[(0, 2)])
+
+
+class TestMulticoverInstance:
+    def test_rows_in_sorted_tuples_out(self):
+        inst = MulticoverInstance(4, ((2, 0, 1), (3, 1)), 2)
+        assert inst.masks == (0b0111, 0b1010)
+        assert inst.rows == ((0, 1, 2), (1, 3))
+        assert inst == MulticoverInstance.from_masks(4, (0b0111, 0b1010), 2)
+        assert hash(inst) == hash(MulticoverInstance(4, ((0, 1, 2), (1, 3)), 2))
+        assert inst != MulticoverInstance(4, ((0, 1, 2), (1, 3)), 1)
+
+    @pytest.mark.parametrize("rows", [((5, 0),), ((0, 1), (2, 0, 3)), ((1, -1),)])
+    def test_every_vertex_checked(self, rows):
+        # Only the first and last entry of a row used to be checked, so an
+        # unsorted row got through and the solver died with an IndexError.
+        with pytest.raises(ValueError, match="outside universe"):
+            MulticoverInstance(3, rows, 2)
+
+    def test_mask_outside_universe_rejected(self):
+        with pytest.raises(ValueError, match="outside universe"):
+            MulticoverInstance.from_masks(3, (0b011, 0b1001), 1)
+
+    def test_repeated_vertex_counts_once(self):
+        inst = MulticoverInstance(3, ((0, 0, 1),), 3)
+        assert inst.rows == ((0, 1),)
+        assert not inst.feasible
+        assert not inst.satisfied_by((0, 0, 1, 2))
+        assert solve_exact(inst).is_infinite and oracle_solve(inst).is_infinite
+        two = MulticoverInstance(3, ((0, 0, 1),), 2)
+        assert two.feasible and two.satisfied_by((1, 0)) and not two.satisfied_by((0, 0))
 
 
 class TestBuildInstanceFull:
@@ -208,6 +242,12 @@ class TestSolveExact:
         rows, pruned = {2: (24, 67), 3: (33, 120)}[p]
         res = dim_k(polyhex_row(p).graph, k)
         assert res.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
+
+    def test_armchair11_search_stats_pinned(self):
+        # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
+        res = dim_k(armchair(11).graph, 1)
+        assert res.value == 2 and res.basis == (0, 192)
+        assert res.stats == SolveStats(nodes=590, rows=666, pruned=19234)
 
     def test_depth_beyond_recursion_limit(self):
         # Phase 2 excludes vertices 0..1498 one below the other before it
