@@ -9,7 +9,7 @@ domains rather than extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import Graph, is_rooted_path
 from .products import RootedGraph, hierarchical_product, link, splice
@@ -61,17 +61,17 @@ class BoundReport:
         )
 
 
-def _hypothesis_ceil_ratio(k: int, t: int | float, h: Graph) -> tuple[bool, str, int]:
-    """Check the companion hypothesis: dim_{ceil(k/t)}(H) must be finite."""
+def _hypothesis_ceil_ratio(k: int, t: int | float, h: Graph) -> str:
+    """Why the companion hypothesis, dim_{ceil(k/t)}(H) finite, fails; "" if it holds."""
     if t == INFINITE:
-        return False, "rooted dimension of the first factor is infinite", 0
+        return "rooted dimension of the first factor is infinite"
     if t == 0:
-        return False, "rooted dimension of the first factor is 0, ceil(k/t) undefined", 0
+        return "rooted dimension of the first factor is 0, ceil(k/t) undefined"
     ratio = math.ceil(k / t)
     mk = max_k(all_pairs_distances(h))
     if mk < ratio:
-        return False, f"second factor admits no {ratio}-metric generator (max_k={mk})", ratio
-    return True, "", ratio
+        return f"second factor admits no {ratio}-metric generator (max_k={mk})"
+    return ""
 
 
 def theorem1_upper(rg: RootedGraph, h: Graph, k: int, compare_exact: bool = False) -> BoundReport:
@@ -85,35 +85,29 @@ def theorem1_upper(rg: RootedGraph, h: Graph, k: int, compare_exact: bool = Fals
     bound is not only valid but exact; use theorem2_exact there.
     """
     t = dim_k_rooted(rg, k).value
-    ok, reason, _ = _hypothesis_ceil_ratio(k, t, h)
-    if not ok:
+    reason = _hypothesis_ceil_ratio(k, t, h)
+    if reason:
         return BoundReport("upper", None, False, reason)
     bound = h.n * int(t)
     exact = slack = None
     if compare_exact:
-        exact, slack = _compare(rg, h, k, bound, upper=True)
+        exact, slack = _compare(hierarchical_product(rg, h).graph, k, bound, upper=True)
     return BoundReport("upper", bound, True, "", exact, slack)
 
 
 def theorem2_exact(g: Graph, u: int, h: Graph, k: int, compare_exact: bool = False) -> BoundReport:
     """Exact value n(H) * dim_k(G(u)) for single-root products, valid when
-    G(u) is not a rooted path and the companion hypothesis holds."""
+    G(u) is not a rooted path and the companion hypothesis holds.  It is the
+    Theorem 1 bound at U = {u}."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if is_rooted_path(g, u):
         return BoundReport("exact", None, False, "G(u) is a rooted path")
-    rg = RootedGraph(g, (u,))
-    t = dim_k_rooted(rg, k).value
-    ok, reason, _ = _hypothesis_ceil_ratio(k, t, h)
-    if not ok:
-        return BoundReport("exact", None, False, reason)
-    value = h.n * int(t)
-    exact = slack = None
-    if compare_exact:
-        exact, slack = _compare(rg, h, k, value, upper=True)
-    return BoundReport("exact", value, True, "", exact, slack)
+    return replace(theorem1_upper(RootedGraph(g, (u,)), h, k, compare_exact), kind="exact")
 
 
-def _compare(rg: RootedGraph, h: Graph, k: int, bound: int, upper: bool):
-    product = hierarchical_product(rg, h).graph
+def _compare(product: Graph, k: int, bound: int, upper: bool):
+    """Exact dim_k of the product and the bound's slack; (None, None) if infinite."""
     res = dim_k(product, k)
     if res.is_infinite:
         return None, None
@@ -142,10 +136,7 @@ def splice_link_lower(
     exact = slack = None
     if compare_exact:
         combined = splice(g, a, h, b) if mode == "splice" else link(g, a, h, b)
-        res = dim_k(combined, k)
-        if not res.is_infinite:
-            exact = int(res.value)
-            slack = exact - bound
+        exact, slack = _compare(combined, k, bound, upper=False)
     return BoundReport("lower", bound, True, "", exact, slack)
 
 

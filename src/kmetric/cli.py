@@ -4,8 +4,9 @@ Subcommands: dim, maxk, product, gen, bound, verify-table, export-dot.
 Vertex labels in human-readable output are 1-based (v1, v2, ...); file
 formats and command-line vertex arguments are 0-based.  Exit codes: 0
 success (an infinite dimension is an answer, not a failure), 2 input parse
-error, 3 invalid or missing k / roots / files / parameters, 4 internal
-consistency failure (oracle or distance-formula mismatch, never expected).
+error, 3 invalid or missing k / roots / files / parameters or an output
+file that cannot be written, 4 internal consistency failure (oracle or
+distance-formula mismatch, never expected).
 """
 
 from __future__ import annotations
@@ -20,17 +21,9 @@ from . import bounds as bnd
 from . import chemgen
 from .fileio import graph_to_dot, graph_to_text, read_graph
 from .graphs import Graph, GraphError, all_pairs_distances
-from .products import (
-    RootedGraph,
-    bridge_path,
-    hierarchical_distance,
-    hierarchical_product,
-    link,
-    splice,
-)
+from .products import RootedGraph, hierarchical_distance, hierarchical_product, link, splice
 from .solver import (
     DimResult,
-    SizeLimitExceededError,
     dim_k,
     dim_k_rooted,
     max_k,
@@ -58,14 +51,11 @@ def _load_graph(path: str) -> Graph:
         raise CliError(f"parse error in {path}: {exc}", EXIT_PARSE) from exc
 
 
-def _parse_roots(spec: str, n: int) -> tuple[int, ...]:
+def _parse_roots(spec: str) -> tuple[int, ...]:
     try:
-        roots = tuple(sorted({int(tok) for tok in spec.split(",") if tok.strip()}))
+        return tuple(int(tok) for tok in spec.split(",") if tok.strip())
     except ValueError:
         raise CliError(f"invalid root list {spec!r}", EXIT_INVALID) from None
-    if not roots or roots[0] < 0 or roots[-1] >= n:
-        raise CliError(f"roots {spec!r} outside 0..{n - 1} or empty", EXIT_INVALID)
-    return roots
 
 
 def _digest(g: Graph) -> str:
@@ -97,21 +87,16 @@ def _print_dim(res: DimResult, as_json: bool) -> None:
 
 def cmd_dim(args) -> int:
     g = _load_graph(args.graph)
-    if args.k < 1:
-        raise CliError(f"k must be >= 1, got {args.k}", EXIT_INVALID)
     started = time.perf_counter()
     if args.rooted is not None:
-        subject = RootedGraph(g, _parse_roots(args.rooted, g.n))
+        subject = RootedGraph(g, _parse_roots(args.rooted))
         solve, oracle = dim_k_rooted, oracle_dim_rooted
     else:
         subject, solve, oracle = g, dim_k, oracle_dim
     check = None
     if args.oracle:
         # Before the solve, so an oversized graph is refused at once.
-        try:
-            check = oracle(subject, args.k, limit=args.oracle_limit)
-        except SizeLimitExceededError as exc:
-            raise CliError(str(exc), EXIT_INVALID) from exc
+        check = oracle(subject, args.k, limit=args.oracle_limit)
     res = solve(subject, args.k)
     if check is not None and check.value != res.value:
         raise CliError(
@@ -170,7 +155,7 @@ def cmd_product(args) -> int:
             raise CliError("hier product needs --roots", EXIT_INVALID)
         g = _load_graph(args.graph)
         h = _load_graph(args.second)
-        rg = RootedGraph(g, _parse_roots(args.roots, g.n))
+        rg = RootedGraph(g, _parse_roots(args.roots))
         product = hierarchical_product(rg, h)
         if args.check_prop1:
             dm_g = all_pairs_distances(g)
@@ -191,39 +176,26 @@ def cmd_product(args) -> int:
     elif args.mode in ("splice", "link"):
         g = _load_graph(args.graph)
         h = _load_graph(args.second)
-        if not (0 <= args.a < g.n and 0 <= args.b < h.n):
-            raise CliError("splice/link vertices out of range", EXIT_INVALID)
         out = splice(g, args.a, h, args.b) if args.mode == "splice" else link(g, args.a, h, args.b)
     else:  # bridge
-        g = _load_graph(args.graph)
-        if not (0 <= args.root < g.n):
-            raise CliError(f"root {args.root} out of range", EXIT_INVALID)
-        if args.d < 1:
-            raise CliError(f"d must be >= 1, got {args.d}", EXIT_INVALID)
-        out = bridge_path([(g, args.root)] * args.d)
+        out = chemgen.bridge_path_uniform(_load_graph(args.graph), args.root, args.d)
     _emit_graph(args, out)
     return 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "nanotube":
-            g = chemgen.nanotube(args.p, args.q).graph
-        elif args.family == "polyhex":
-            g = chemgen.polyhex_row(args.p).graph
-        elif args.family == "polyhex-stack":
-            g = chemgen.polyhex_stack(args.p, args.levels).graph
-        elif args.family == "armchair":
-            g = chemgen.armchair(args.p, args.levels).graph
-        else:  # bridge
-            if args.graph is None:
-                raise CliError("bridge family needs --graph", EXIT_INVALID)
-            base = _load_graph(args.graph)
-            if not (0 <= args.root < base.n):
-                raise CliError(f"root {args.root} out of range", EXIT_INVALID)
-            g = chemgen.bridge_path_uniform(base, args.root, args.d)
-    except GraphError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    if args.family == "nanotube":
+        g = chemgen.nanotube(args.p, args.q).graph
+    elif args.family == "polyhex":
+        g = chemgen.polyhex_row(args.p).graph
+    elif args.family == "polyhex-stack":
+        g = chemgen.polyhex_stack(args.p, args.levels).graph
+    elif args.family == "armchair":
+        g = chemgen.armchair(args.p, args.levels).graph
+    else:  # bridge
+        if args.graph is None:
+            raise CliError("bridge family needs --graph", EXIT_INVALID)
+        g = chemgen.bridge_path_uniform(_load_graph(args.graph), args.root, args.d)
     _emit_graph(args, g)
     return 0
 
@@ -245,36 +217,31 @@ def cmd_bound(args) -> int:
     if args.which in ("t1", "t2", "splice", "link"):
         if args.graph is None or args.second is None:
             raise CliError(f"{args.which} bound needs --graph and --second", EXIT_INVALID)
-        if args.k < 1:
-            raise CliError(f"k must be >= 1, got {args.k}", EXIT_INVALID)
         g = _load_graph(args.graph)
         h = _load_graph(args.second)
-    try:
-        if args.which == "t1":
-            if args.roots is None:
-                raise CliError("t1 bound needs --roots", EXIT_INVALID)
-            rg = RootedGraph(g, _parse_roots(args.roots, g.n))
-            report = bnd.theorem1_upper(rg, h, args.k, compare_exact=args.exact)
-        elif args.which == "t2":
-            report = bnd.theorem2_exact(g, args.root, h, args.k, compare_exact=args.exact)
-        elif args.which in ("splice", "link"):
-            report = bnd.splice_link_lower(
-                g, args.a, h, args.b, args.k, mode=args.which, compare_exact=args.exact
-            )
-        elif args.which == "cycle-rooted":
-            print(bnd.cycle_rooted_formula(args.p, args.k))
-            return 0
-        elif args.which == "path-rooted":
-            print(bnd.path_rooted_formula(args.p, args.k))
-            return 0
-        elif args.which == "nanotube":
-            print(bnd.nanotube_bound(args.p, args.q, args.k))
-            return 0
-        else:  # polyhex
-            print(bnd.polyhex_bound(args.p, args.k))
-            return 0
-    except bnd.OutOfRangeError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    if args.which == "t1":
+        if args.roots is None:
+            raise CliError("t1 bound needs --roots", EXIT_INVALID)
+        rg = RootedGraph(g, _parse_roots(args.roots))
+        report = bnd.theorem1_upper(rg, h, args.k, compare_exact=args.exact)
+    elif args.which == "t2":
+        report = bnd.theorem2_exact(g, args.root, h, args.k, compare_exact=args.exact)
+    elif args.which in ("splice", "link"):
+        report = bnd.splice_link_lower(
+            g, args.a, h, args.b, args.k, mode=args.which, compare_exact=args.exact
+        )
+    elif args.which == "cycle-rooted":
+        print(bnd.cycle_rooted_formula(args.p, args.k))
+        return 0
+    elif args.which == "path-rooted":
+        print(bnd.path_rooted_formula(args.p, args.k))
+        return 0
+    elif args.which == "nanotube":
+        print(bnd.nanotube_bound(args.p, args.q, args.k))
+        return 0
+    else:  # polyhex
+        print(bnd.polyhex_bound(args.p, args.k))
+        return 0
     _print_report(report, args.json)
     return 0
 
@@ -433,7 +400,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except GraphError as exc:
+    # Every input error of the package is a ValueError: GraphError,
+    # OutOfRangeError, SizeLimitExceededError and the solver's k check.
+    # Input files are read by _load_graph, so an OSError here is an output file.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,4 +1,4 @@
-"""Edge-list text format, DOT export, and multicover instance dumps.
+"""Edge-list text format and DOT export.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
 indices.  Lines starting with ``#`` are comments; ``# label <index> <text>``
@@ -76,30 +76,11 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def instance_to_text(inst) -> str:
-    """Dump format: line 1 ``n k r``, then r space-separated sorted rows."""
-    rows = inst.rows
-    lines = [f"{inst.universe_size} {inst.demand} {len(rows)}"]
-    for row in rows:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def instance_from_text(text: str):
-    from .solver import MulticoverInstance
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, k, r = (int(x) for x in lines[0].split())
-    rows = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
-    if len(rows) != r:
-        raise GraphError(f"instance dump declares {r} rows but {len(rows)} follow")
-    return MulticoverInstance(universe_size=n, rows=rows, demand=k)

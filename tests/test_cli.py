@@ -232,6 +232,25 @@ def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["product", "splice", "{c4}", "{c4}", "-a", "9"],
+    ["product", "link", "{c4}", "{c4}", "-b", "9"],
+    ["product", "bridge", "{c4}", "--root", "9"],
+    ["product", "bridge", "{c4}", "--d", "0"],
+    ["gen", "bridge", "--graph", "{c4}", "--root", "9"],
+    ["dim", "{c4}", "--k", "1", "--rooted", ","],
+    ["gen", "polyhex", "--p", "2", "-o", "{missing}/x"],
+    ["product", "bridge", "{c4}", "-o", "{missing}/x"],
+    ["maxk", "{c4}", "--log", "{missing}/l"],
+])
+def test_library_and_output_errors_are_invalid(argv, c4_file, tmp_path, capsys):
+    # The range checks are the library's and an unwritable output is an
+    # OSError; main turns each into exit 3 and one line, not a traceback.
+    missing = tmp_path / "missing"
+    assert main([a.format(c4=c4_file, missing=missing) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestVerifyTable:
     def test_reproduces_table(self, capsys):
         assert main(["verify-table"]) == 0

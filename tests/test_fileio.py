@@ -1,15 +1,8 @@
 import pytest
 
-from kmetric.fileio import (
-    graph_from_text,
-    graph_to_dot,
-    graph_to_text,
-    instance_from_text,
-    instance_to_text,
-)
+from kmetric.fileio import graph_from_text, graph_to_dot, graph_to_text
 from kmetric.graphs import GraphError, cycle_graph, path_graph
 from kmetric.products import RootedGraph, hierarchical_product
-from kmetric.solver import MulticoverInstance
 
 
 def test_round_trip_bytes():
@@ -62,15 +55,9 @@ def test_dot_export():
     assert "0 -- 1;" in dot and "1 -- 2;" in dot
 
 
-def test_instance_dump_round_trip():
-    inst = MulticoverInstance(4, ((0, 1, 2), (1, 3)), 2)
-    text = instance_to_text(inst)
-    assert text.splitlines()[0] == "4 2 2"
-    assert instance_from_text(text) == inst
-
-
-@pytest.mark.parametrize("body", ["0 1\n", "0 1\n1 2\n0 2\n"])
-def test_instance_dump_row_count_must_match(body):
-    # The header declares two rows; one fewer or one more is an error.
-    with pytest.raises(GraphError):
-        instance_from_text("3 1 2\n" + body)
+def test_dot_labels_escaped():
+    g = graph_from_text('3 2\n# label 0 a"b\n# label 1 c\\d\n# label 2 e\n0 1\n1 2\n')
+    dot = graph_to_dot(g)
+    assert '  0 [label="a\\"b"];' in dot
+    assert '  1 [label="c\\\\d"];' in dot
+    assert '  2 [label="e"];' in dot
