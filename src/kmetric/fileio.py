@@ -1,9 +1,10 @@
 """Edge-list text format and DOT export.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
-indices.  Lines starting with ``#`` are comments; ``# label <index> <text>``
-comments carry optional vertex labels.  The writer is canonical (sorted
-edges, labels before edges) so write -> read -> write is byte-identical.
+indices, each edge once.  Lines starting with ``#`` are comments;
+``# label <index> <text>`` comments carry optional vertex labels.  The
+writer is canonical (sorted edges, labels before edges) so write -> read ->
+write is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def graph_to_text(g: Graph) -> str:
 
 def graph_from_text(text: str) -> Graph:
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], int] = {}  # edge (low, high) -> its line
     labels: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,8 +47,10 @@ def graph_from_text(text: str) -> Graph:
             raise GraphError(f"line {lineno}: expected two integers, got {line!r}") from None
         if header is None:
             header = (a, b)
+        elif (edge := (min(a, b), max(a, b))) in edges:
+            raise GraphError(f"line {lineno}: edge {a} {b} repeats line {edges[edge]}")
         else:
-            edges.append((a, b))
+            edges[edge] = lineno
     if header is None:
         raise GraphError("empty edge-list input")
     n, m = header

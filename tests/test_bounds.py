@@ -154,6 +154,13 @@ class TestTheorem1:
         rep = theorem1_upper(rg, path_graph(2), 2)
         assert not rep.preconditions_met and "0" in rep.reason
 
+    def test_one_vertex_second_factor_reported(self):
+        # G(U) times K_1 is G itself, which the theorem does not cover.
+        rep = theorem1_upper(RootedGraph(cycle_graph(4), (0,)), path_graph(1), 1,
+                             compare_exact=True)
+        assert not rep.preconditions_met and "n(H) < 2" in rep.reason
+        assert rep.value is None and rep.exact is None
+
     def test_single_root_upper_bounds_hold(self):
         # with one root the bound is valid (and in fact exact); random check
         rng = random.Random(100)
@@ -195,6 +202,11 @@ class TestTheorem2:
         rep = theorem2_exact(path_graph(5), 0, path_graph(2), 2)
         assert not rep.preconditions_met
         assert "rooted path" in rep.reason
+
+    def test_one_vertex_second_factor_reported(self):
+        rep = theorem2_exact(cycle_graph(4), 0, path_graph(1), 1, compare_exact=True)
+        assert rep.kind == "exact" and not rep.preconditions_met
+        assert "n(H) < 2" in rep.reason and rep.value is None
 
     def test_interior_root_of_path_is_allowed(self):
         rep = theorem2_exact(path_graph(5), 2, path_graph(2), 1, compare_exact=True)

@@ -75,6 +75,8 @@ class TestDimCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("3 9\n0 1\n")
         assert main(["dim", str(bad), "--k", "1"]) == 2
+        bad.write_text("3 3\n0 1\n1 2\n0 1\n")
+        assert main(["dim", str(bad), "--k", "1"]) == 2
 
     def test_missing_file(self, tmp_path):
         assert main(["dim", str(tmp_path / "nope.txt"), "--k", "1"]) == 2

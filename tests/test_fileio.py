@@ -37,6 +37,13 @@ def test_header_edge_count_mismatch():
         graph_from_text("3 5\n0 1\n1 2\n")
 
 
+@pytest.mark.parametrize("repeat", ["0 1", "1 0"])
+def test_repeated_edge_rejected(repeat):
+    # Counted toward the header's m, a repeat would hide a missing edge.
+    with pytest.raises(GraphError, match="line 4: edge .* repeats line 2"):
+        graph_from_text(f"3 3\n0 1\n1 2\n{repeat}\n")
+
+
 def test_junk_line_rejected():
     with pytest.raises(GraphError):
         graph_from_text("3 2\n0 1\n1 2 7\n")

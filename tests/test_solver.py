@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,18 @@ from kmetric.solver import (
 )
 from kmetric.catalog import connected_graphs, random_connected_graph
 from kmetric.chemgen import armchair, nanotube, polyhex_row
+
+# F_{4,2}, F_{5,2} and the armchair tube p = 7 (n = 32..136): family
+# instances far beyond the exhaustive oracle.
+FAMILY_GRAPHS = {
+    "F42": lambda: nanotube(4, 2).graph,
+    "F52": lambda: nanotube(5, 2).graph,
+    "armchair7": lambda: armchair(7).graph,
+}
+FAMILY_DIMS = {
+    ("F42", 4): 8, ("F42", 5): 12, ("F42", 6): 14,
+    ("F52", 2): 5, ("armchair7", 1): 2,
+}
 
 
 class TestRepresentation:
@@ -227,27 +240,42 @@ class TestSolveExact:
         res = solve_exact(MulticoverInstance(3, ((0, 1),), 0))
         assert res.value == 0
 
-    @pytest.mark.parametrize("k, nodes", [(2, 242), (3, 1214), (4, 3438), (5, 1637)])
-    def test_f41_search_stats_pinned(self, k, nodes):
-        # The node count fixes the search order: the greedy incumbent, both
-        # branching rules and the prune all change it, and --json reports it.
-        res = dim_k(nanotube(4, 1).graph, k)
-        assert res.stats == SolveStats(nodes=nodes, rows=42, pruned=78)
+    # Node counts per k.  The test ids name only the instance, so a change
+    # of search order re-pins the counts without renaming the tests.
+    F41_NODES = {2: 72, 3: 182, 4: 470, 5: 151}
+    POLYHEX_NODES = {
+        (2, 2): 80, (2, 3): 73, (2, 4): 89, (2, 5): 86,
+        (3, 2): 104, (3, 3): 473, (3, 4): 171, (3, 5): 693,
+    }
 
-    @pytest.mark.parametrize("p, k, nodes", [
-        (2, 2, 220), (2, 3, 265), (2, 4, 777), (2, 5, 634),
-        (3, 2, 364), (3, 3, 1619), (3, 4, 2759), (3, 5, 6361),
-    ])
-    def test_polyhex_search_stats_pinned(self, p, k, nodes):
+    @pytest.mark.parametrize("k", sorted(F41_NODES))
+    def test_f41_search_stats_pinned(self, k):
+        # The node count fixes the search order: the greedy incumbent, both
+        # branching rules, the cuts and the prune all change it, and --json
+        # reports it.
+        res = dim_k(nanotube(4, 1).graph, k)
+        assert res.stats == SolveStats(nodes=self.F41_NODES[k], rows=42, pruned=78)
+
+    @pytest.mark.parametrize("p, k", sorted(POLYHEX_NODES))
+    def test_polyhex_search_stats_pinned(self, p, k):
         rows, pruned = {2: (24, 67), 3: (33, 120)}[p]
         res = dim_k(polyhex_row(p).graph, k)
-        assert res.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
+        assert res.stats == SolveStats(nodes=self.POLYHEX_NODES[p, k], rows=rows, pruned=pruned)
 
     def test_armchair11_search_stats_pinned(self):
         # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
         res = dim_k(armchair(11).graph, 1)
         assert res.value == 2 and res.basis == (0, 192)
-        assert res.stats == SolveStats(nodes=590, rows=666, pruned=19234)
+        assert res.stats == SolveStats(nodes=438, rows=666, pruned=19234)
+
+    @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
+    def test_family_dims_pinned(self, name, k):
+        # With the max-deficit cut alone F_{4,2} at k = 5 and 6 needs
+        # millions of nodes; every value is also checked by HiGHS below.
+        g = FAMILY_GRAPHS[name]()
+        res = dim_k(g, k)
+        assert res.value == FAMILY_DIMS[name, k]
+        assert is_k_generator(all_pairs_distances(g), res.basis, k)
 
     def test_depth_beyond_recursion_limit(self):
         # Phase 2 excludes vertices 0..1498 one below the other before it
@@ -258,6 +286,7 @@ class TestSolveExact:
 
 def _search_state(search):
     return (
+        search.free,
         list(search.deficit),
         list(search.slack),
         search.negative,
@@ -289,6 +318,67 @@ def test_search_state_restored_after_each_phase():
         search.run(search.lowest_index, True)
         assert _search_state(search) == root
         assert search.best_value == optimum
+
+
+def _min_completion(masks, deficit, free):
+    """Fewest free vertices that cover every row's deficit, by brute force."""
+    free_vs = [v for v in range(free.bit_length()) if free >> v & 1]
+    for size in range(len(free_vs) + 1):
+        for combo in combinations(free_vs, size):
+            chosen = sum(1 << v for v in combo)
+            if all((m & chosen).bit_count() >= d for m, d in zip(masks, deficit)):
+                return size
+    return INFINITE
+
+
+def test_packing_bound_is_sound():
+    # The cut is exact only if the row-packing bound never exceeds the
+    # fewest vertices that still complete the node: check it at the root
+    # against the oracle and, after random moves, against brute force.
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(3, 12)
+        k = rng.randint(1, 3)
+        rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
+        masks, _ = _prune_dominated([sum(1 << v for v in row) for row in rows])
+        search = _Search(masks, k, n)
+        root = search.packing_bound(n + 1)
+        assert search._max_def() <= root <= oracle_solve(MulticoverInstance(n, rows, k)).value
+        moved = rng.sample(range(n), rng.randint(1, n - 1))
+        for v in moved:
+            if rng.random() < 0.5:
+                search._include(v)
+            else:
+                search._exclude(v)
+        assert search.free == (1 << n) - 1 - sum(1 << v for v in moved)
+        if search.negative or not search._max_def():
+            continue
+        bound = search.packing_bound(n + 1)
+        assert search._max_def() <= bound
+        assert bound <= _min_completion(masks, search.deficit, search.free)
+        checked += 1
+
+
+@pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
+def test_family_dims_match_highs(name, k):
+    # An independent MILP solver on the paper's model, at family sizes far
+    # beyond the exhaustive oracle.  Dropping dominated rows leaves the
+    # optimum unchanged, and the solution is checked on every pair.
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    g = FAMILY_GRAPHS[name]()
+    dm = all_pairs_distances(g)
+    masks, _ = _prune_dominated(list(build_instance_full(dm, k).masks))
+    a = np.array([[m >> v & 1 for v in range(dm.n)] for m in masks])
+    res = milp(np.ones(dm.n), constraints=LinearConstraint(a, lb=k),
+               integrality=np.ones(dm.n), bounds=Bounds(0, 1))
+    assert res.success
+    chosen = [v for v in range(dm.n) if res.x[v] > 0.5]
+    assert is_k_generator(dm, chosen, k)
+    assert len(chosen) == round(res.fun) == FAMILY_DIMS[name, k]
 
 
 class TestDimK:
