@@ -240,27 +240,41 @@ class TestSolveExact:
         res = solve_exact(MulticoverInstance(3, ((0, 1),), 0))
         assert res.value == 0
 
-    # Node counts per k.  The test ids name only the instance, so a change
-    # of search order re-pins the counts without renaming the tests.
+    # Node counts with every cut, per instance.  The test ids carry the
+    # count of the search with the row-packing cut switched off, which must
+    # stay the max-deficit search: the cut is the only change of order.
     F41_NODES = {2: 72, 3: 182, 4: 470, 5: 151}
     POLYHEX_NODES = {
         (2, 2): 80, (2, 3): 73, (2, 4): 89, (2, 5): 86,
         (3, 2): 104, (3, 3): 473, (3, 4): 171, (3, 5): 693,
     }
 
-    @pytest.mark.parametrize("k", sorted(F41_NODES))
-    def test_f41_search_stats_pinned(self, k):
+    @pytest.mark.parametrize("k, nodes", [(2, 242), (3, 1214), (4, 3438), (5, 1637)])
+    def test_f41_search_stats_pinned(self, k, nodes, monkeypatch):
         # The node count fixes the search order: the greedy incumbent, both
         # branching rules, the cuts and the prune all change it, and --json
         # reports it.
-        res = dim_k(nanotube(4, 1).graph, k)
+        g = nanotube(4, 1).graph
+        res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.F41_NODES[k], rows=42, pruned=78)
+        monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
+        uncut = dim_k(g, k)
+        assert (uncut.value, uncut.basis) == (res.value, res.basis)
+        assert uncut.stats == SolveStats(nodes=nodes, rows=42, pruned=78)
 
-    @pytest.mark.parametrize("p, k", sorted(POLYHEX_NODES))
-    def test_polyhex_search_stats_pinned(self, p, k):
+    @pytest.mark.parametrize("p, k, nodes", [
+        (2, 2, 220), (2, 3, 265), (2, 4, 777), (2, 5, 634),
+        (3, 2, 364), (3, 3, 1619), (3, 4, 2759), (3, 5, 6361),
+    ])
+    def test_polyhex_search_stats_pinned(self, p, k, nodes, monkeypatch):
         rows, pruned = {2: (24, 67), 3: (33, 120)}[p]
-        res = dim_k(polyhex_row(p).graph, k)
+        g = polyhex_row(p).graph
+        res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.POLYHEX_NODES[p, k], rows=rows, pruned=pruned)
+        monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
+        uncut = dim_k(g, k)
+        assert (uncut.value, uncut.basis) == (res.value, res.basis)
+        assert uncut.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
 
     def test_armchair11_search_stats_pinned(self):
         # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
