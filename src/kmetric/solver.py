@@ -19,22 +19,25 @@ when a caller reads ``MulticoverInstance.rows``.
 One depth-first kernel does all the search and takes its branching rule as
 an argument: max-gain (the vertex in the most deficient rows) builds the
 greedy incumbent and proves the optimum, then lowest-index finds the
-lexicographically smallest basis of that size.  The kernel keeps per-row
-deficits and slack, a histogram of deficit levels and row bitsets for the
-gains, and updates them in place, so a branching step touches only the rows
-of the branched vertex.  It walks the tree with an explicit stack, so the
-search depth, which can reach the number of vertices, does not depend on
-Python's recursion limit.
+lexicographically smallest basis of that size.  The kernel keeps the rows
+as bitsets per deficit level, ``level[d]`` holding the rows that still lack
+d of their demand, and a trail of the rows each include moved down one
+level, so an include is k mask operations and its undo pops them back.  An
+exclude checks only the deficient rows of the excluded vertex: those are
+the only rows it can leave uncompletable from the free vertices, and an
+uncompletable node is left at once.  The kernel walks the tree with an
+explicit stack, so the search depth, which can reach the number of
+vertices, does not depend on Python's recursion limit.
 
 A node is cut by two lower bounds on the vertices it still needs.  The
-largest deficit of a single row is the cheap one.  The row-packing bound
-takes the deficient rows by falling deficit and adds each row's deficit less
-its members already claimed by the rows taken before it.  That sum is the
-Lagrangian of the model's LP relaxation, sum_r d_r y_r - sum_v (sum_{r ∋ v}
-y_r - 1)^+ over the free vertices v, at the 0/1 multiplier y of the rows
-that added something.  Every y >= 0 gives a lower bound, and this one is a
-sum of integers, so no rounding error can cut a node that holds an optimal
-cover.
+largest deficit of a single row, the highest non-empty level, is the cheap
+one.  The row-packing bound walks the levels from k down and adds each
+row's deficit less its members already claimed by the rows taken before
+it.  That sum is the Lagrangian of the model's LP relaxation,
+sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over the free vertices v, at
+the 0/1 multiplier y of the rows that added something.  Every y >= 0 gives
+a lower bound, and this one is a sum of integers, so no rounding error can
+cut a node that holds an optimal cover.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -46,9 +49,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 
-from .graphs import DistanceMatrix, Graph, all_pairs_distances
+from .graphs import DistanceMatrix, Graph, IndexOutOfRangeError, all_pairs_distances
 from .products import RootedGraph
 
 INFINITE = math.inf
@@ -177,8 +180,17 @@ class DimResult:
         )
 
 
+def _check_vertices(dm: DistanceMatrix, vertices) -> None:
+    """Reject the first vertex outside 0..n-1, which indexing would wrap."""
+    for v in vertices:
+        if not 0 <= v < dm.n:
+            raise IndexOutOfRangeError(f"vertex {v} outside 0..{dm.n - 1}")
+
+
 def representation(dm: DistanceMatrix, v: int, landmarks) -> tuple[int, ...]:
     """Distance vector from v to each landmark, in landmark order."""
+    landmarks = tuple(landmarks)
+    _check_vertices(dm, (v, *landmarks))
     return tuple(dm[s, v] for s in landmarks)
 
 
@@ -228,8 +240,12 @@ def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
     ``pairs`` defaults to all unordered vertex pairs.
     """
     chosen = set(selected)
+    _check_vertices(dm, chosen)
     if pairs is None:
         pairs = ((u, v) for u in range(dm.n) for v in range(u + 1, dm.n))
+    else:
+        pairs = tuple(pairs)
+        _check_vertices(dm, chain.from_iterable(pairs))
     for u, v in pairs:
         du = dm.row(u)
         dv = dm.row(v)
@@ -292,156 +308,118 @@ class _Search:
     """Depth-first branch-and-bound over vertex inclusion, updated in place.
 
     One kernel, ``run``, serves both solve phases; they differ only in the
-    branching rule passed in.  ``max_gain`` picks the vertex lying in the
-    most deficient rows (smallest index on ties) and drives phase 1 and the
-    greedy incumbent.  ``lowest_index`` picks the smallest available vertex
+    branching rule passed in.  ``max_gain`` picks the free vertex lying in
+    the most deficient rows (smallest index on ties) and drives phase 1 and
+    the greedy incumbent.  ``lowest_index`` picks the smallest free vertex
     of some deficient row and drives phase 2.
 
-    The state of the current node is kept incrementally, and a move touches
-    only the rows of the branched vertex:
+    The state of the current node is one row bitset per level, a trail and
+    the free vertices:
 
-    - ``deficit[r]``: the demand row r still lacks on the include path;
-    - ``slack[r]``: ``|row r & avail| - deficit[r]``.  Including a vertex
-      leaves it unchanged and excluding one lowers it by 1; the node is
-      infeasible exactly when some slack is negative, and ``negative``
-      counts those rows;
-    - ``hist[d]``: the number of rows with deficit d, for d = 1..k, so the
-      largest deficit is the highest non-empty level; ``hist[0]`` counts
-      the rows with no deficit left;
-    - ``deficient``: the bitset of rows with deficit > 0, and ``cols[v]``:
-      the bitset of rows containing v while v is available, 0 once it is
-      included or excluded.  The gain of v, the number of deficient rows
-      containing it, is ``(cols[v] & deficient).bit_count()``;
-    - ``free``: the bitset of vertices neither included nor excluded, for
-      the row-packing bound.
+    - ``level[d]``, for d = 0..k: bit r is set when row r still lacks d of
+      its demand on the include path.  Covered rows sit at level 0, and
+      the deficient rows are ``all_rows ^ level[0]``;
+    - ``trail``: per include, the k masks of the rows it moved down one
+      level, pushed from level 1 up, so undoing an include pops them back;
+    - ``free``: the bitset of vertices neither included nor excluded.
 
-    Each move has an exact inverse, so leaving a node restores every piece
-    of state.  ``run`` walks the tree with an explicit stack of branched
-    vertices instead of recursion, so the depth (up to n) is not bounded by
-    Python's recursion limit.
+    An include moves ``level[d] & col_of[v]`` down one level for d = 1..k
+    in ascending order, so each row of v moves once.  It leaves
+    ``|row & free| - deficit`` unchanged for every deficient row, and an
+    exclude lowers it only for the rows of the excluded vertex.  So a node
+    is feasible exactly when its last exclude left every deficient row of
+    that vertex with at least its deficit in free vertices, which
+    ``_exclude`` reports; ``run`` backtracks from an infeasible node at
+    once.  Each move has an exact inverse.  ``run`` walks the tree with an
+    explicit stack of branched vertices instead of recursion, so the depth
+    (up to n) is not bounded by Python's recursion limit.
     """
 
     def __init__(self, masks: list[int], k: int, n: int):
         self.k = k
         self.masks = masks
         self.free = (1 << n) - 1
-        self.rows_of = [[] for _ in range(n)]
+        rows_of = [[] for _ in range(n)]
         for r, m in enumerate(masks):
-            for v in _mask_to_tuple(m):
-                self.rows_of[v].append(r)
-        self.col_of = [sum(1 << r for r in rows) for rows in self.rows_of]
-        self.cols = list(self.col_of)
-        self.deficient = (1 << len(masks)) - 1
-        self.deficit = [k] * len(masks)
-        self.slack = [m.bit_count() - k for m in masks]
-        self.negative = 0
-        self.hist = [0] * (k + 1)
-        self.hist[k] = len(masks)
+            for v in _bits(m):
+                rows_of[v].append(r)
+        self.col_of = [sum(1 << r for r in rows) for rows in rows_of]
+        self.all_rows = (1 << len(masks)) - 1
+        self.level = [0] * (k + 1)
+        self.level[k] = self.all_rows
+        self.trail: list[int] = []
         self.nodes = 0
         self.best_value = 0
         self.best_mask = 0
 
     def _max_def(self) -> int:
-        hist = self.hist
+        level = self.level
         d = self.k
-        while d and not hist[d]:
+        while d and not level[d]:
             d -= 1
         return d
 
     def _include(self, v: int) -> None:
-        deficit, hist = self.deficit, self.hist
-        self.cols[v] = 0
+        level, col = self.level, self.col_of[v]
+        push = self.trail.append
         self.free ^= 1 << v
-        done = 0
-        for r in self.rows_of[v]:
-            d = deficit[r]
-            deficit[r] = d - 1
-            if d > 0:
-                hist[d] -= 1
-                hist[d - 1] += 1
-                if d == 1:
-                    done |= 1 << r
-        self.deficient ^= done
+        for d in range(1, self.k + 1):
+            moved = level[d] & col
+            level[d] ^= moved
+            level[d - 1] |= moved
+            push(moved)
 
     def _undo_include(self, v: int) -> None:
-        deficit, hist = self.deficit, self.hist
-        undone = 0
-        for r in self.rows_of[v]:
-            d = deficit[r] + 1
-            deficit[r] = d
-            if d > 0:
-                hist[d - 1] -= 1
-                hist[d] += 1
-                if d == 1:
-                    undone |= 1 << r
-        self.deficient |= undone
-        self.cols[v] = self.col_of[v]
+        level = self.level
+        pop = self.trail.pop
+        for d in range(self.k, 0, -1):
+            moved = pop()
+            level[d - 1] ^= moved
+            level[d] |= moved
         self.free |= 1 << v
 
-    def _exclude(self, v: int) -> None:
-        slack = self.slack
-        self.cols[v] = 0
+    def _exclude(self, v: int) -> bool:
+        """Exclude v; is every deficient row of v still completable?"""
         self.free ^= 1 << v
-        short = 0
-        for r in self.rows_of[v]:
-            s = slack[r]
-            slack[r] = s - 1
-            if not s:
-                short += 1
-        self.negative += short
+        level, masks, free, col = self.level, self.masks, self.free, self.col_of[v]
+        for d in range(1, self.k + 1):
+            for r in _bits(level[d] & col):
+                if (masks[r] & free).bit_count() < d:
+                    return False
+        return True
 
     def _undo_exclude(self, v: int) -> None:
-        slack = self.slack
-        mended = 0
-        for r in self.rows_of[v]:
-            s = slack[r] + 1
-            slack[r] = s
-            if not s:
-                mended += 1
-        self.negative -= mended
-        self.cols[v] = self.col_of[v]
         self.free |= 1 << v
 
     def packing_bound(self, room: int) -> int:
         """Row-packing lower bound on the vertices still to include.
 
-        Rows are taken by falling deficit; a row adds its deficit minus its
-        members already used by the rows taken before it, when that is
-        positive, and its free members then count as used.  Stops once the
-        bound reaches ``room``.
+        Rows are taken by falling deficit, by index within a level; a row
+        adds its deficit minus its members already used by the rows taken
+        before it, when that is positive, and its free members then count
+        as used.  Stops once the bound reaches ``room``.
         """
-        deficit, masks, free = self.deficit, self.masks, self.free
+        masks, free = self.masks, self.free
         bound = 0
         used = 0
-        # A stable sort keeps row order within a deficit level.  Sorting the
-        # bits straight into a list, not through a tuple, matters: tuples of
-        # every length would fill the interpreter's tuple free lists, which
-        # raised peak RSS by 2.5 MB over the catalog's 6,700 solves.
-        for r in sorted(_bits(self.deficient), key=deficit.__getitem__, reverse=True):
-            m = masks[r]
-            gain = deficit[r] - (m & used).bit_count()
-            if gain > 0:
-                bound += gain
-                if bound >= room:
-                    break
-                used |= m & free
+        for d in range(self.k, 0, -1):
+            for r in _bits(self.level[d]):
+                m = masks[r]
+                gain = d - (m & used).bit_count()
+                if gain > 0:
+                    bound += gain
+                    if bound >= room:
+                        return bound
+                    used |= m & free
         return bound
 
-    def gains(self) -> list[int]:
-        """Per vertex, the deficient rows containing it; 0 when unavailable."""
-        deficient = self.deficient
-        return [(c & deficient).bit_count() for c in self.cols]
-
     def max_gain(self) -> int:
-        gain = self.gains()
-        return gain.index(max(gain))
+        deficient, col_of = self.all_rows ^ self.level[0], self.col_of
+        return max(_bits(self.free), key=lambda v: (col_of[v] & deficient).bit_count())
 
     def lowest_index(self) -> int:
-        deficient = self.deficient
-        for v, c in enumerate(self.cols):
-            if c & deficient:
-                return v
-        raise AssertionError("a feasible deficient node has a useful vertex")
+        deficient, col_of = self.all_rows ^ self.level[0], self.col_of
+        return next(v for v in _bits(self.free) if col_of[v] & deficient)
 
     def greedy(self) -> None:
         """Incumbent: include the max-gain vertex until no row is deficient.
@@ -464,20 +442,21 @@ class _Search:
 
         Covers smaller than ``best_value`` replace the incumbent; with
         ``first_only`` the first such cover ends the search.  A node is cut
-        when some row cannot be completed from the available vertices, or
-        when its largest deficit or its row-packing bound cannot fit under
-        the incumbent.  Both cuts drop only nodes that hold no cover smaller
-        than ``best_value``, so phase 2, run with the optimum plus one,
-        still meets the lexicographically smallest optimal cover first.
-        ``path`` holds the branched vertices from the root: v where v was
-        included, ~v where it was excluded.
+        when its last exclude left a row that the free vertices cannot
+        complete, or when its largest deficit or its row-packing bound
+        cannot fit under the incumbent.  Both bound cuts drop only nodes
+        that hold no cover smaller than ``best_value``, so phase 2, run
+        with the optimum plus one, still meets the lexicographically
+        smallest optimal cover first.  ``path`` holds the branched vertices
+        from the root: v where v was included, ~v where it was excluded.
         """
         path: list[int] = []
         count = 0
         chosen = 0
+        feasible = True
         while True:
             self.nodes += 1
-            if not self.negative:
+            if feasible:
                 max_def = self._max_def()
                 if not max_def:
                     if count < self.best_value:
@@ -500,7 +479,7 @@ class _Search:
                 return
             v = path[-1]
             self._undo_include(v)
-            self._exclude(v)
+            feasible = self._exclude(v)
             path[-1] = ~v
             count -= 1
             chosen ^= 1 << v

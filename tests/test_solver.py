@@ -63,6 +63,14 @@ class TestRepresentation:
         dm = all_pairs_distances(cycle_graph(4))
         assert representation(dm, 0, (2,)) == (2,)
 
+    def test_vertex_out_of_range_rejected(self):
+        # A negative index would wrap round to vertex n - 1.
+        dm = all_pairs_distances(path_graph(3))
+        with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
+            representation(dm, -1, (0,))
+        with pytest.raises(ValueError, match="vertex 3 outside 0..2"):
+            representation(dm, 0, (1, 3))
+
 
 class TestDistinguishers:
     def test_p3_endpoints(self):
@@ -133,6 +141,15 @@ class TestIsKGenerator:
         dm = all_pairs_distances(path_graph(3))
         assert is_k_generator(dm, {1}, 1, pairs=[(0, 1)])
         assert not is_k_generator(dm, {1}, 1, pairs=[(0, 2)])
+
+    def test_vertex_out_of_range_rejected(self):
+        # Indexing alone would read vertex -1 as vertex 2 of P_3, a 1-generator.
+        dm = all_pairs_distances(path_graph(3))
+        for bad in (-1, 3, 5):
+            with pytest.raises(ValueError, match=f"vertex {bad} outside 0..2"):
+                is_k_generator(dm, [bad], 1)
+        with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
+            is_k_generator(dm, {0}, 1, pairs=[(0, -1)])
 
 
 class TestMulticoverInstance:
@@ -282,6 +299,16 @@ class TestSolveExact:
         assert res.value == 2 and res.basis == (0, 192)
         assert res.stats == SolveStats(nodes=438, rows=666, pruned=19234)
 
+    # Bases and search stats of the family solves: search trees over 136 to
+    # 414 kept rows.
+    FAMILY_SOLVES = {
+        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(10660, 136, 360)),
+        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(39890, 136, 360)),
+        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(26590, 136, 360)),
+        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(8145, 305, 475)),
+        ("armchair7", 1): ((0, 128), SolveStats(356, 414, 8766)),
+    }
+
     @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
     def test_family_dims_pinned(self, name, k):
         # With the max-deficit cut alone F_{4,2} at k = 5 and 6 needs
@@ -289,6 +316,7 @@ class TestSolveExact:
         g = FAMILY_GRAPHS[name]()
         res = dim_k(g, k)
         assert res.value == FAMILY_DIMS[name, k]
+        assert (res.basis, res.stats) == self.FAMILY_SOLVES[name, k]
         assert is_k_generator(all_pairs_distances(g), res.basis, k)
 
     def test_depth_beyond_recursion_limit(self):
@@ -299,22 +327,13 @@ class TestSolveExact:
 
 
 def _search_state(search):
-    return (
-        search.free,
-        list(search.deficit),
-        list(search.slack),
-        search.negative,
-        list(search.hist),
-        search.deficient,
-        list(search.cols),
-        search.gains(),
-    )
+    return search.free, list(search.level), list(search.trail)
 
 
 def test_search_state_restored_after_each_phase():
     # Every move of the kernel must have an exact inverse: after the greedy
-    # incumbent, phase 1 and the early-stopping phase 2, each piece of
-    # incremental state is back at its value at the root.
+    # incumbent, phase 1 and the early-stopping phase 2, the free vertices,
+    # every row's level and the trail are back at their values at the root.
     rng = random.Random(26)
     for _ in range(200):
         n = rng.randint(3, 12)
@@ -332,6 +351,12 @@ def test_search_state_restored_after_each_phase():
         search.run(search.lowest_index, True)
         assert _search_state(search) == root
         assert search.best_value == optimum
+
+
+def _deficits(search):
+    """Per row, the level its bit sits at: the demand it still lacks."""
+    return [next(d for d, rows in enumerate(search.level) if rows >> r & 1)
+            for r in range(len(search.masks))]
 
 
 def _min_completion(masks, deficit, free):
@@ -360,17 +385,22 @@ def test_packing_bound_is_sound():
         root = search.packing_bound(n + 1)
         assert search._max_def() <= root <= oracle_solve(MulticoverInstance(n, rows, k)).value
         moved = rng.sample(range(n), rng.randint(1, n - 1))
+        feasible = True
         for v in moved:
             if rng.random() < 0.5:
                 search._include(v)
             else:
-                search._exclude(v)
+                feasible &= search._exclude(v)
         assert search.free == (1 << n) - 1 - sum(1 << v for v in moved)
-        if search.negative or not search._max_def():
+        deficit = _deficits(search)
+        # An include never makes a row uncompletable, and a row an exclude
+        # made uncompletable stays so: the excludes' answers are exact.
+        assert feasible == all((m & search.free).bit_count() >= d for m, d in zip(masks, deficit))
+        if not feasible or not search._max_def():
             continue
         bound = search.packing_bound(n + 1)
         assert search._max_def() <= bound
-        assert bound <= _min_completion(masks, search.deficit, search.free)
+        assert bound <= _min_completion(masks, deficit, search.free)
         checked += 1
 
 
