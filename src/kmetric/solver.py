@@ -21,8 +21,8 @@ an argument: max-gain (the vertex in the most deficient rows) builds the
 greedy incumbent and proves the optimum, then lowest-index finds the
 lexicographically smallest basis of that size.  The kernel keeps the rows
 as bitsets per deficit level, ``level[d]`` holding the rows that still lack
-d of their demand, and a trail of the rows each include moved down one
-level, so an include is k mask operations and its undo pops them back.  An
+d of their demand, and a trail of the rows each include covered, so an
+include is k mask operations and its undo moves the same rows back up.  An
 exclude checks only the deficient rows of the excluded vertex: those are
 the only rows it can leave uncompletable from the free vertices, and an
 uncompletable node is left at once.  The kernel walks the tree with an
@@ -319,8 +319,9 @@ class _Search:
     - ``level[d]``, for d = 0..k: bit r is set when row r still lacks d of
       its demand on the include path.  Covered rows sit at level 0, and
       the deficient rows are ``all_rows ^ level[0]``;
-    - ``trail``: per include, the k masks of the rows it moved down one
-      level, pushed from level 1 up, so undoing an include pops them back;
+    - ``trail``: per include, the mask of the rows it moved from level 1
+      to level 0.  Its other rows sit one level below where they started,
+      so undoing an include moves them back up from ``col_of[v]`` alone;
     - ``free``: the bitset of vertices neither included nor excluded.
 
     An include moves ``level[d] & col_of[v]`` down one level for d = 1..k
@@ -361,21 +362,25 @@ class _Search:
 
     def _include(self, v: int) -> None:
         level, col = self.level, self.col_of[v]
-        push = self.trail.append
         self.free ^= 1 << v
+        self.trail.append(level[1] & col)
         for d in range(1, self.k + 1):
             moved = level[d] & col
             level[d] ^= moved
             level[d - 1] |= moved
-            push(moved)
 
     def _undo_include(self, v: int) -> None:
-        level = self.level
-        pop = self.trail.pop
-        for d in range(self.k, 0, -1):
-            moved = pop()
-            level[d - 1] ^= moved
-            level[d] |= moved
+        # The rows of v above level 0 came from one level up; only the rows
+        # v covered share level 0 with rows covered before, so those alone
+        # are on the trail.
+        level, col = self.level, self.col_of[v]
+        for d in range(self.k - 1, 0, -1):
+            moved = level[d] & col
+            level[d] ^= moved
+            level[d + 1] |= moved
+        covered = self.trail.pop()
+        level[0] ^= covered
+        level[1] |= covered
         self.free |= 1 << v
 
     def _exclude(self, v: int) -> bool:
