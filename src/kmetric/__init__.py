@@ -40,8 +40,6 @@ from .solver import (
     distinguishers,
     is_k_generator,
     max_k,
-    oracle_dim,
-    oracle_dim_rooted,
     oracle_solve,
     representation,
     solve_exact,

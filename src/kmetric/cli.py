@@ -24,11 +24,12 @@ from .graphs import Graph, GraphError, all_pairs_distances
 from .products import RootedGraph, hierarchical_distance, hierarchical_product, link, splice
 from .solver import (
     DimResult,
+    build_instance_full,
+    build_instance_rooted,
     dim_k,
-    dim_k_rooted,
     max_k,
-    oracle_dim,
-    oracle_dim_rooted,
+    oracle_solve,
+    solve_exact,
 )
 
 EXIT_PARSE = 2
@@ -88,19 +89,18 @@ def _print_dim(res: DimResult, as_json: bool) -> None:
 def cmd_dim(args) -> int:
     g = _load_graph(args.graph)
     started = time.perf_counter()
-    if args.rooted is not None:
-        subject = RootedGraph(g, _parse_roots(args.rooted))
-        solve, oracle = dim_k_rooted, oracle_dim_rooted
+    dm = all_pairs_distances(g)
+    if args.rooted is None:
+        inst = build_instance_full(dm, args.k)
     else:
-        subject, solve, oracle = g, dim_k, oracle_dim
-    check = None
-    if args.oracle:
-        # Before the solve, so an oversized graph is refused at once.
-        check = oracle(subject, args.k, limit=args.oracle_limit)
-    res = solve(subject, args.k)
-    if check is not None and check.value != res.value:
+        inst = build_instance_rooted(RootedGraph(g, _parse_roots(args.rooted)), dm, args.k)
+    # The oracle runs before the solve, so an oversized graph is refused at once.
+    check = oracle_solve(inst, args.oracle_limit) if args.oracle else None
+    res = solve_exact(inst)
+    if check is not None and (check.value, check.basis) != (res.value, res.basis):
         raise CliError(
-            f"oracle mismatch: solver {res.value} vs oracle {check.value}",
+            f"oracle mismatch: solver {res.value} {_format_basis(res.basis)} vs "
+            f"oracle {check.value} {_format_basis(check.basis)}",
             EXIT_MISMATCH,
         )
     elapsed = time.perf_counter() - started

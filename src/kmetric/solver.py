@@ -8,13 +8,18 @@ whole graph.  Minimizing |S| subject to per-pair coverage constraints is a
 set-multicover problem with uniform demand k, solved here by a purpose-built
 branch-and-bound over vertex inclusion.
 
-Every row of the model is an int bitset over the vertices, built from
-distance levels: with ``E[u][d]`` the bitset of vertices at distance d from
-u (``DistanceMatrix.levels``, computed once per matrix), the vertices that
+A model is a pair family turned into rows.  The full family is every pair
+i < j; the rooted family, which the hierarchical-product theorems need,
+keeps the pairs on a common distance sphere around a root
+(``sphere_pairs``).  One builder, ``_pair_masks``, makes the row of every
+pair as an int bitset over the vertices, from distance levels: with
+``E[u][d]`` the bitset of vertices at distance d from u
+(``DistanceMatrix.levels``, computed once per matrix), the vertices that
 do not distinguish (u, v) are the OR over d of ``E[u][d] & E[v][d]``, and
-the row is the complement of that.  ``max_k``, both model builders, the
-solver and the oracle all work on these masks; tuple rows are made only
-when a caller reads ``MulticoverInstance.rows``.
+the row is the complement of that.  ``max_k``, ``distinguishers`` and both
+model builders call it, and the solver and the oracle read the same
+instance; tuple rows are made only when a caller reads
+``MulticoverInstance.rows``.
 
 One depth-first kernel does all the search and takes its branching rule as
 an argument: max-gain (the vertex in the most deficient rows) builds the
@@ -196,30 +201,27 @@ def representation(dm: DistanceMatrix, v: int, landmarks) -> tuple[int, ...]:
 
 def distinguishers(dm: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     """Vertices w with d(w,u) != d(w,v); always contains u and v."""
+    _check_vertices(dm, (u, v))
     if u == v:
         raise SamePairError(f"pair ({u},{v}) is not a pair")
-    return _mask_to_tuple(_pair_mask((1 << dm.n) - 1, dm.levels[u], dm.levels[v]))
+    return _mask_to_tuple(next(_pair_masks(dm, ((u, v),))))
 
 
-def _pair_mask(full: int, eu: tuple[int, ...], ev: tuple[int, ...]) -> int:
-    """Distinguisher bitset of (u, v) from their distance levels.
+def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
+    """Distinguisher bitsets of ``pairs``, in their order.
 
-    The levels of one vertex are disjoint, so the per-level intersections
-    are too, and their sum is their OR: the vertices equidistant from u
-    and v.
+    ``None`` means every pair (i, j), i < j, in lexicographic order.  The
+    levels of one vertex are disjoint, so the per-level intersections of u
+    and v are too, and their sum is their OR: the vertices equidistant
+    from u and v, whose complement is the row.
     """
-    return full ^ sum(map(int.__and__, eu, ev))
-
-
-def _full_masks(dm: DistanceMatrix) -> Iterator[int]:
-    """Distinguisher bitsets of all pairs (i, j), i < j, in lexicographic order."""
     levels = dm.levels
     full = (1 << dm.n) - 1
-    return (
-        _pair_mask(full, eu, ev)
-        for i, eu in enumerate(levels)
-        for ev in levels[i + 1:]
-    )
+    if pairs is None:
+        level_pairs = combinations(levels, 2)
+    else:
+        level_pairs = ((levels[u], levels[v]) for u, v in pairs)
+    return (full ^ sum(map(int.__and__, eu, ev)) for eu, ev in level_pairs)
 
 
 def max_k(dm: DistanceMatrix) -> int | float:
@@ -229,9 +231,7 @@ def max_k(dm: DistanceMatrix) -> int | float:
     n < 2 there are no pairs and every k works vacuously, reported as
     INFINITE by convention.
     """
-    if dm.n < 2:
-        return INFINITE
-    return min(map(int.bit_count, _full_masks(dm)))
+    return min(map(int.bit_count, _pair_masks(dm)), default=INFINITE)
 
 
 def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
@@ -255,25 +255,28 @@ def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
     return True
 
 
+def _pair_instance(dm: DistanceMatrix, k: int, pairs=None) -> MulticoverInstance:
+    """The model of one pair family: a row per pair, demand k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return MulticoverInstance.from_masks(dm.n, _pair_masks(dm, pairs), k)
+
+
 def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
     """One row per unordered vertex pair, in (i, j) lexicographic order."""
-    return MulticoverInstance.from_masks(dm.n, _full_masks(dm), k)
+    return _pair_instance(dm, k)
 
 
 def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], ...]:
     """Deduplicated pairs lying on a common distance sphere around a root.
 
-    A sphere is the set of vertices at one exact distance >= 1 from a root.
+    A sphere is the set of vertices at one exact distance >= 1 from a root,
+    one of ``dm.levels[u][1:]``.
     """
     pairs: set[tuple[int, int]] = set()
     for u in rg.roots:
-        by_radius: dict[int, list[int]] = {}
-        for w in range(dm.n):
-            ell = dm[u, w]
-            if ell >= 1:
-                by_radius.setdefault(ell, []).append(w)
-        for members in by_radius.values():
-            pairs.update(combinations(members, 2))
+        for sphere in dm.levels[u][1:]:
+            pairs.update(combinations(_bits(sphere), 2))
     return tuple(sorted(pairs))
 
 
@@ -284,10 +287,7 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
     to minimizing the union of per-sphere generators, since each per-sphere
     generator may be taken equal to the union.
     """
-    levels = dm.levels
-    full = (1 << dm.n) - 1
-    masks = [_pair_mask(full, levels[x], levels[y]) for x, y in sphere_pairs(rg, dm)]
-    return MulticoverInstance.from_masks(dm.n, masks, k)
+    return _pair_instance(dm, k, sphere_pairs(rg, dm))
 
 
 def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
@@ -558,19 +558,13 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
 
 def dim_k(g: Graph, k: int, dm: DistanceMatrix | None = None) -> DimResult:
     """k-metric dimension of g; finite exactly when k <= max_k(g)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if dm is None:
-        dm = all_pairs_distances(g)
+    dm = all_pairs_distances(g) if dm is None else dm
     return solve_exact(build_instance_full(dm, k))
 
 
 def dim_k_rooted(rg: RootedGraph, k: int, dm: DistanceMatrix | None = None) -> DimResult:
     """Rooted dimension: k-distinguish only pairs on common root spheres."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if dm is None:
-        dm = all_pairs_distances(rg.graph)
+    dm = all_pairs_distances(rg.graph) if dm is None else dm
     return solve_exact(build_instance_rooted(rg, dm, k))
 
 
@@ -590,17 +584,3 @@ def oracle_solve(inst: MulticoverInstance, limit: int = ORACLE_SIZE_LIMIT) -> Di
             if all((m & chosen).bit_count() >= k for m in masks):
                 return DimResult(k, size, combo, True, SolveStats(rows=len(masks)))
     raise AssertionError("feasible instance must have a cover")
-
-
-def oracle_dim(g: Graph, k: int, limit: int = ORACLE_SIZE_LIMIT) -> DimResult:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    dm = all_pairs_distances(g)
-    return oracle_solve(build_instance_full(dm, k), limit)
-
-
-def oracle_dim_rooted(rg: RootedGraph, k: int, limit: int = ORACLE_SIZE_LIMIT) -> DimResult:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    dm = all_pairs_distances(rg.graph)
-    return oracle_solve(build_instance_rooted(rg, dm, k), limit)

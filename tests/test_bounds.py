@@ -22,7 +22,7 @@ from kmetric.graphs import (
     path_graph,
 )
 from kmetric.products import RootedGraph, hierarchical_product, link, splice
-from kmetric.solver import dim_k, dim_k_rooted, max_k
+from kmetric.solver import build_instance_full, dim_k, dim_k_rooted, max_k, oracle_solve
 from kmetric.catalog import random_connected_graph
 
 
@@ -188,8 +188,7 @@ class TestTheorem1:
         assert rep.preconditions_met and rep.value == 2
         assert rep.exact == 3 and rep.slack == -1
         prod = hierarchical_product(rg, path_graph(2)).graph
-        from kmetric.solver import oracle_dim
-        assert oracle_dim(prod, 1).value == 3
+        assert oracle_solve(build_instance_full(all_pairs_distances(prod), 1)).value == 3
 
 
 class TestTheorem2:

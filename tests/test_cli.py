@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from kmetric import cli
 from kmetric.cli import main
 from kmetric.fileio import graph_from_text, graph_to_text, write_graph
 from kmetric.graphs import complete_graph, cycle_graph, path_graph
+from kmetric.solver import solve_exact
 
 
 @pytest.fixture
@@ -63,6 +66,24 @@ class TestDimCommand:
     def test_oracle_limit_exceeded(self, c4_file, capsys):
         assert main(["dim", c4_file, "--k", "1", "--oracle", "--oracle-limit", "3"]) == 3
         assert capsys.readouterr().err == "error: universe 4 exceeds oracle limit 3\n"
+
+    def test_rooted_oracle(self, c4_file, capsys):
+        assert main(["dim", c4_file, "--k", "2", "--rooted", "0", "--oracle"]) == 0
+        assert "dim_2 = 2, basis {v2, v4}" in capsys.readouterr().out
+        argv = ["dim", c4_file, "--k", "2", "--rooted", "0", "--oracle", "--oracle-limit", "3"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: universe 4 exceeds oracle limit 3\n"
+
+    def test_oracle_basis_mismatch(self, c4_file, capsys, monkeypatch):
+        # Both solvers report the lexicographically smallest basis, so one of
+        # the same size but other vertices is a mismatch too.
+        def other_basis(inst, limit):
+            return dataclasses.replace(solve_exact(inst), basis=(2, 3))
+
+        monkeypatch.setattr(cli, "oracle_solve", other_basis)
+        assert main(["dim", c4_file, "--k", "1", "--oracle"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: oracle mismatch: solver 2 {v1, v2} vs oracle 2 {v3, v4}\n"
 
     def test_invalid_k(self, p3_file, capsys):
         assert main(["dim", p3_file, "--k", "0"]) == 3

@@ -5,6 +5,7 @@ matrix, for the full model and the rooted (sphere-pair) model, on random
 connected graphs and on catalog graphs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,4 +67,22 @@ def test_rooted_model_matches_brute_force(data, g, k):
     dm = all_pairs_distances(g)
     inst = build_instance_rooted(rg, dm, k)
     assert (inst.universe_size, inst.demand) == (g.n, k)
-    check_rows(inst, dm, sphere_pairs(rg, dm))
+    pairs = {
+        (x, y)
+        for u in rg.roots
+        for x in range(g.n)
+        for y in range(x + 1, g.n)
+        if dm[u, x] == dm[u, y] >= 1
+    }
+    expected = tuple(sorted(pairs))
+    assert sphere_pairs(rg, dm) == expected
+    check_rows(inst, dm, expected)
+
+
+def test_builders_reject_k_below_one():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    dm = all_pairs_distances(g)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        build_instance_full(dm, 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        build_instance_rooted(RootedGraph(g, (1,)), dm, 0)

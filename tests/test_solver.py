@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from kmetric.graphs import (
+    IndexOutOfRangeError,
     all_pairs_distances,
     build_graph,
     complete_graph,
@@ -27,8 +28,6 @@ from kmetric.solver import (
     distinguishers,
     is_k_generator,
     max_k,
-    oracle_dim,
-    oracle_dim_rooted,
     oracle_solve,
     representation,
     solve_exact,
@@ -101,6 +100,14 @@ class TestDistinguishers:
         dm = all_pairs_distances(path_graph(3))
         with pytest.raises(SamePairError):
             distinguishers(dm, 1, 1)
+
+    def test_vertex_out_of_range_rejected(self):
+        # A negative index would wrap round to vertex n - 1.
+        dm = all_pairs_distances(path_graph(3))
+        with pytest.raises(IndexOutOfRangeError, match="vertex -1 outside 0..2"):
+            distinguishers(dm, -1, 0)
+        with pytest.raises(IndexOutOfRangeError, match="vertex 3 outside 0..2"):
+            distinguishers(dm, 0, 3)
 
 
 class TestMaxK:
@@ -459,7 +466,7 @@ class TestDimKRooted:
 
 class TestOracle:
     def test_p3(self):
-        res = oracle_dim(path_graph(3), 2)
+        res = oracle_solve(build_instance_full(all_pairs_distances(path_graph(3)), 2))
         assert res.value == 2 and res.basis == (0, 2)
 
     def test_undersized_row_infinite(self):
@@ -468,14 +475,14 @@ class TestOracle:
 
     def test_c4_rooted(self):
         rg = RootedGraph(cycle_graph(4), (0,))
-        res = oracle_dim_rooted(rg, 2)
+        res = oracle_solve(build_instance_rooted(rg, all_pairs_distances(rg.graph), 2))
         assert res.value == 2 and res.basis == (1, 3)
 
     def test_size_limit(self):
-        g = path_graph(17)
+        inst = build_instance_full(all_pairs_distances(path_graph(17)), 1)
         with pytest.raises(SizeLimitExceededError):
-            oracle_dim(g, 1)
-        assert oracle_dim(g, 1, limit=17).value == 1
+            oracle_solve(inst)
+        assert oracle_solve(inst, limit=17).value == 1
 
 
 class TestSolverProperties:
@@ -508,7 +515,7 @@ class TestSolverProperties:
             rg = RootedGraph(g, roots)
             k = rng.randint(1, 3)
             a = dim_k_rooted(rg, k)
-            b = oracle_dim_rooted(rg, k)
+            b = oracle_solve(build_instance_rooted(rg, all_pairs_distances(g), k))
             assert a.value == b.value
 
     def test_monotone_in_k(self):
