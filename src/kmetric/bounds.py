@@ -84,12 +84,14 @@ def theorem1_upper(rg: RootedGraph, h: Graph, k: int, compare_exact: bool = Fals
     through-root distance against every witness vertex.  For |U| = 1 the
     bound is not only valid but exact; use theorem2_exact there.
     """
-    t = dim_k_rooted(rg, k).value
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if h.n < 2:
         # The product with K_1 is the first factor itself, which the
         # theorems do not cover.
         reason = "second factor has one vertex (n(H) < 2)"
     else:
+        t = dim_k_rooted(rg, k).value
         reason = _hypothesis_ceil_ratio(k, t, h)
     if reason:
         return BoundReport("upper", None, False, reason)

@@ -107,7 +107,7 @@ def cmd_dim(args) -> int:
     _print_dim(res, args.json)
     _append_log(args, {
         "command": "dim",
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "digest": _digest(g),
         "k": args.k,
         "result": res.to_json_dict(),
@@ -129,7 +129,7 @@ def cmd_maxk(args) -> int:
         print(f"max_k = {text}")
     _append_log(args, {
         "command": "maxk",
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "digest": _digest(g),
         "k": None,
         "result": {"max_k": text},
@@ -393,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # for the --log record
     try:
         return args.func(args)
     except CliError as exc:

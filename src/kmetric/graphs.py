@@ -93,6 +93,15 @@ class DistanceMatrix:
             out.append(tuple(by_d))
         return tuple(out)
 
+    @cached_property
+    def pair_models(self) -> dict:
+        """The solver's row models of pair families built from this matrix.
+
+        Filled on first use of each family, so every demand k shares one
+        copy of the family's rows.
+        """
+        return {}
+
 
 def build_graph(
     n: int,

@@ -21,6 +21,15 @@ model builders call it, and the solver and the oracle read the same
 instance; tuple rows are made only when a caller reads
 ``MulticoverInstance.rows``.
 
+The rows of a family depend on the distances alone, not on k, and so does
+the dominance prune: a row that is a superset of another is implied at
+every demand.  Each matrix therefore builds each family's rows once, in
+``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or by the
+root set, together with the smallest row size, and prunes them once, on
+the first solve that searches.  ``max_k`` is that smallest size, an
+instance is infeasible exactly when its demand exceeds it, and every k
+solved on one matrix reuses the same pruned rows.
+
 One depth-first kernel does all the search and takes its branching rule as
 an argument: max-gain (the vertex in the most deficient rows) builds the
 greedy incumbent and proves the optimum, then lowest-index finds the
@@ -52,7 +61,7 @@ only on the instance.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count
 
@@ -112,16 +121,21 @@ class MulticoverInstance:
         inst._set(universe_size, tuple(masks), demand)
         return inst
 
-    def _set(self, universe_size: int, masks: tuple[int, ...], demand: int) -> None:
+    def _set(self, universe_size: int, masks: tuple[int, ...], demand: int, model=None) -> None:
+        """Set the fields; ``model`` is the ``_PairModel`` holding ``masks``
+        when the rows are shared, else the masks are checked and get their own."""
         if demand < 0:
             raise ValueError(f"demand must be >= 0, got {demand}")
-        if masks and (min(masks) < 0 or max(masks) >> universe_size):
-            bad = next(m for m in masks if m < 0 or m >> universe_size)
-            row = _mask_to_tuple(bad) if bad > 0 else f"mask {bad}"
-            raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
+        if model is None:
+            if masks and (min(masks) < 0 or max(masks) >> universe_size):
+                bad = next(m for m in masks if m < 0 or m >> universe_size)
+                row = _mask_to_tuple(bad) if bad > 0 else f"mask {bad}"
+                raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
+            model = _PairModel(masks)
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "_model", model)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -129,7 +143,7 @@ class MulticoverInstance:
 
     @property
     def feasible(self) -> bool:
-        return all(m.bit_count() >= self.demand for m in self.masks)
+        return self._model.min_size >= self.demand
 
     def satisfied_by(self, selected) -> bool:
         chosen = _mask_of(selected)
@@ -224,6 +238,42 @@ def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
     return (full ^ sum(map(int.__and__, eu, ev)) for eu, ev in level_pairs)
 
 
+class _PairModel:
+    """The rows of one pair family, shared by the instances of every demand.
+
+    ``min_size`` is the smallest row size, INFINITE when there are no rows,
+    so the family admits demand k exactly when ``min_size >= k``.
+    ``pruned()`` gives the dominance-pruned rows and the dropped count,
+    computed on its first call.
+    """
+
+    __slots__ = ("masks", "min_size", "_pruned")
+
+    def __init__(self, masks: tuple[int, ...]):
+        self.masks = masks
+        self.min_size = min(map(int.bit_count, masks), default=INFINITE)
+        self._pruned = None
+
+    def pruned(self) -> tuple[tuple[int, ...], int]:
+        if self._pruned is None:
+            self._pruned = _prune_dominated(self.masks)
+        return self._pruned
+
+
+def _pair_model(dm: DistanceMatrix, rg: RootedGraph | None = None) -> _PairModel:
+    """The model of all pairs, or of the sphere pairs of ``rg``'s roots.
+
+    Built on first use and kept in ``dm.pair_models``, keyed by ``None`` or
+    by the root set.
+    """
+    key = None if rg is None else rg.roots
+    model = dm.pair_models.get(key)
+    if model is None:
+        pairs = None if rg is None else sphere_pairs(rg, dm)
+        model = dm.pair_models[key] = _PairModel(tuple(_pair_masks(dm, pairs)))
+    return model
+
+
 def max_k(dm: DistanceMatrix) -> int | float:
     """Largest k admitting a k-metric generator.
 
@@ -231,7 +281,7 @@ def max_k(dm: DistanceMatrix) -> int | float:
     n < 2 there are no pairs and every k works vacuously, reported as
     INFINITE by convention.
     """
-    return min(map(int.bit_count, _pair_masks(dm)), default=INFINITE)
+    return _pair_model(dm).min_size
 
 
 def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
@@ -255,11 +305,14 @@ def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
     return True
 
 
-def _pair_instance(dm: DistanceMatrix, k: int, pairs=None) -> MulticoverInstance:
-    """The model of one pair family: a row per pair, demand k >= 1."""
+def _pair_instance(dm: DistanceMatrix, k: int, rg: RootedGraph | None = None) -> MulticoverInstance:
+    """The instance of one pair family at demand k >= 1, on the shared rows."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return MulticoverInstance.from_masks(dm.n, _pair_masks(dm, pairs), k)
+    model = _pair_model(dm, rg)
+    inst = object.__new__(MulticoverInstance)
+    inst._set(dm.n, model.masks, k, model)
+    return inst
 
 
 def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
@@ -287,10 +340,10 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
     to minimizing the union of per-sphere generators, since each per-sphere
     generator may be taken equal to the union.
     """
-    return _pair_instance(dm, k, sphere_pairs(rg, dm))
+    return _pair_instance(dm, k, rg)
 
 
-def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
+def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Drop rows that are supersets of other rows (implied constraints)."""
     order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
     kept: list[int] = []
@@ -301,7 +354,7 @@ def _prune_dominated(masks: list[int]) -> tuple[list[int], int]:
             dropped += 1
         else:
             kept.append(m)
-    return kept, dropped
+    return tuple(kept), dropped
 
 
 class _Search:
@@ -336,7 +389,7 @@ class _Search:
     (up to n) is not bounded by Python's recursion limit.
     """
 
-    def __init__(self, masks: list[int], k: int, n: int):
+    def __init__(self, masks: tuple[int, ...], k: int, n: int):
         self.k = k
         self.masks = masks
         self.free = (1 << n) - 1
@@ -532,7 +585,7 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         return DimResult(k, 0, (), True, SolveStats(rows=len(masks)))
     if not inst.feasible:
         return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
-    kept, dropped = _prune_dominated(masks)
+    kept, dropped = inst._model.pruned()
     stats_rows = len(kept)
 
     search = _Search(kept, k, n)
@@ -556,16 +609,28 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     )
 
 
+def _distances_of(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
+    """``dm``, or the distances of g when it is None; a matrix of another
+    vertex count cannot be g's."""
+    if dm is None:
+        return all_pairs_distances(g)
+    if dm.n != g.n:
+        raise ValueError(f"distance matrix has {dm.n} vertices, the graph has {g.n}")
+    return dm
+
+
 def dim_k(g: Graph, k: int, dm: DistanceMatrix | None = None) -> DimResult:
-    """k-metric dimension of g; finite exactly when k <= max_k(g)."""
-    dm = all_pairs_distances(g) if dm is None else dm
-    return solve_exact(build_instance_full(dm, k))
+    """k-metric dimension of g; finite exactly when k <= max_k(g).
+
+    ``dm``, when given, must be g's distance matrix; the rows built from it
+    are kept on it for later solves.
+    """
+    return solve_exact(build_instance_full(_distances_of(g, dm), k))
 
 
 def dim_k_rooted(rg: RootedGraph, k: int, dm: DistanceMatrix | None = None) -> DimResult:
     """Rooted dimension: k-distinguish only pairs on common root spheres."""
-    dm = all_pairs_distances(rg.graph) if dm is None else dm
-    return solve_exact(build_instance_rooted(rg, dm, k))
+    return solve_exact(build_instance_rooted(rg, _distances_of(rg.graph, dm), k))
 
 
 def oracle_solve(inst: MulticoverInstance, limit: int = ORACLE_SIZE_LIMIT) -> DimResult:

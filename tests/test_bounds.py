@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kmetric import bounds
 from kmetric.bounds import (
     BoundReport,
     OutOfRangeError,
@@ -160,6 +161,16 @@ class TestTheorem1:
                              compare_exact=True)
         assert not rep.preconditions_met and "n(H) < 2" in rep.reason
         assert rep.value is None and rep.exact is None
+
+    def test_one_vertex_second_factor_solves_nothing(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the report does not use a rooted solve")
+
+        monkeypatch.setattr(bounds, "dim_k_rooted", no_solve)
+        rep = theorem1_upper(RootedGraph(cycle_graph(4), (0,)), path_graph(1), 1)
+        assert rep == BoundReport("upper", None, False, "second factor has one vertex (n(H) < 2)")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            theorem1_upper(RootedGraph(cycle_graph(4), (0,)), path_graph(1), 0)
 
     def test_single_root_upper_bounds_hold(self):
         # with one root the bound is valid (and in fact exact); random check

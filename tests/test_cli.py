@@ -121,6 +121,17 @@ class TestDimCommand:
         assert rec["result"]["dim"] == 2
         assert rec["wall_time"] >= 0
 
+    def test_log_records_the_argv_given_to_main(self, p3_file, tmp_path, monkeypatch, capsys):
+        # The record used to take sys.argv, which is not main's argv when
+        # main is called from Python.
+        monkeypatch.setattr("sys.argv", ["python"])
+        log = str(tmp_path / "session.jsonl")
+        dim_argv = ["dim", p3_file, "--k", "1", "--log", log]
+        maxk_argv = ["maxk", p3_file, "--log", log]
+        assert main(dim_argv) == 0 and main(tuple(maxk_argv)) == 0
+        records = [json.loads(line) for line in open(log, encoding="utf-8")]
+        assert [r["argv"] for r in records] == [dim_argv, maxk_argv]
+
 
 class TestMaxkCommand:
     def test_p3(self, p3_file, capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from kmetric import solver
 from kmetric.graphs import (
     IndexOutOfRangeError,
     all_pairs_distances,
@@ -333,6 +334,81 @@ class TestSolveExact:
         assert res.value == 1 and res.basis == (1499,)
 
 
+class TestPairModelCache:
+    """Each matrix builds and prunes each pair family's rows once."""
+
+    def test_root_sets_do_not_share_rows(self):
+        g = cycle_graph(6)
+        dm = all_pairs_distances(g)
+        one, two = RootedGraph(g, (0,)), RootedGraph(g, (0, 1))
+        rows_one = build_instance_rooted(one, dm, 1).masks
+        rows_two = build_instance_rooted(two, dm, 1).masks
+        assert rows_one != rows_two
+        assert rows_one == build_instance_rooted(one, all_pairs_distances(g), 2).masks
+        assert rows_two == build_instance_rooted(two, all_pairs_distances(g), 2).masks
+        assert build_instance_full(dm, 1).masks == build_instance_full(all_pairs_distances(g), 1).masks
+        assert dim_k_rooted(one, 2, dm) == dim_k_rooted(one, 2)
+        assert dim_k_rooted(two, 2, dm) == dim_k_rooted(two, 2)
+
+    def test_every_k_on_one_matrix_matches_fresh_matrices(self, catalog):
+        # Ascending and shuffled k on one matrix each: the cached rows,
+        # smallest size and pruned rows must give every k what a matrix
+        # of its own gives, stats included.
+        rng = random.Random(26)
+        for g in catalog:
+            rg = RootedGraph(g, (rng.randrange(g.n),))
+            top = max_k(all_pairs_distances(g))
+            ks = list(range(1, (1 if top == INFINITE else top) + 2))
+            fresh = {k: (dim_k(g, k), dim_k_rooted(rg, k)) for k in ks}
+            for order in (ks, rng.sample(ks, len(ks))):
+                dm = all_pairs_distances(g)
+                for k in order:
+                    assert (dim_k(g, k, dm), dim_k_rooted(rg, k, dm)) == fresh[k]
+
+    def test_rows_built_and_pruned_once_per_family(self, monkeypatch):
+        calls = {"build": 0, "prune": 0}
+        real_build, real_prune = solver._pair_masks, solver._prune_dominated
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(solver, "_pair_masks", counting("build", real_build))
+        monkeypatch.setattr(solver, "_prune_dominated", counting("prune", real_prune))
+        g = nanotube(4, 1).graph
+        dm = all_pairs_distances(g)
+        top = max_k(dm)
+        for k in range(top + 1, 0, -1):
+            dim_k(g, k, dm)
+        assert calls == {"build": 1, "prune": 1}
+        rg = RootedGraph(g, (0,))
+        for k in (1, 2, 1):
+            dim_k_rooted(rg, k, dm)
+        assert calls == {"build": 2, "prune": 2}
+
+    def test_max_k_is_smallest_distinguisher_set(self, catalog):
+        rng = random.Random(28)
+        graphs = [g for g in catalog if g.n >= 2 and g.n <= 6]
+        graphs += [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(60)]
+        for g in graphs:
+            dm = all_pairs_distances(g)
+            smallest = min(len(distinguishers(dm, u, v)) for u, v in combinations(range(g.n), 2))
+            assert max_k(dm) == smallest
+
+    def test_hand_built_instance_prunes_its_own_rows(self):
+        rows = ((0, 1), (0, 1, 2), (2, 3), (1, 2, 3), (0, 2))
+        for inst in (MulticoverInstance(4, rows, 1),
+                     MulticoverInstance.from_masks(4, (0b0011, 0b0111, 0b1100, 0b1110, 0b0101), 1)):
+            res = solve_exact(inst)
+            assert (res.value, res.basis) == (2, (0, 2))
+            assert res.stats.rows == 3 and res.stats.pruned == 2
+            assert solve_exact(inst) == res
+        two = solve_exact(MulticoverInstance(4, rows, 2))
+        assert (two.value, two.stats.rows, two.stats.pruned) == (4, 3, 2)
+
+
 def _search_state(search):
     return search.free, list(search.level), list(search.trail)
 
@@ -447,6 +523,11 @@ class TestDimK:
     def test_single_vertex_zero(self):
         assert dim_k(build_graph(1, []), 1).value == 0
 
+    def test_distances_of_another_graph_rejected(self):
+        # C_6's matrix used to answer for P_3: value 2, basis (0, 1).
+        with pytest.raises(ValueError, match="distance matrix has 6 vertices, the graph has 3"):
+            dim_k(path_graph(3), 1, all_pairs_distances(cycle_graph(6)))
+
 
 class TestDimKRooted:
     def test_c8_even_roots(self):
@@ -462,6 +543,11 @@ class TestDimKRooted:
         for n in range(2, 11):
             rg = RootedGraph(path_graph(n), (0,))
             assert dim_k_rooted(rg, 2).value == 0
+
+    def test_distances_of_another_graph_rejected(self):
+        rg = RootedGraph(path_graph(3), (0,))
+        with pytest.raises(ValueError, match="distance matrix has 6 vertices, the graph has 3"):
+            dim_k_rooted(rg, 1, all_pairs_distances(cycle_graph(6)))
 
 
 class TestOracle:
