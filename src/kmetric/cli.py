@@ -23,6 +23,8 @@ from .fileio import graph_to_dot, graph_to_text, read_graph
 from .graphs import Graph, GraphError, all_pairs_distances
 from .products import RootedGraph, hierarchical_distance, hierarchical_product, link, splice
 from .solver import (
+    INFINITE,
+    ORACLE_SIZE_LIMIT,
     DimResult,
     build_instance_full,
     build_instance_rooted,
@@ -121,10 +123,11 @@ def cmd_maxk(args) -> int:
     started = time.perf_counter()
     value = max_k(all_pairs_distances(g))
     elapsed = time.perf_counter() - started
-    text = "infinite" if value == float("inf") else str(int(value))
+    infinite = value == INFINITE
+    text = "infinite" if infinite else str(int(value))
     if args.json:
-        print(json.dumps({"max_k": None if text == "infinite" else int(value),
-                          "infinite": text == "infinite"}, sort_keys=True))
+        print(json.dumps({"max_k": None if infinite else int(value), "infinite": infinite},
+                         sort_keys=True))
     else:
         print(f"max_k = {text}")
     _append_log(args, {
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated 0-based root indices; compute dim_k(G(U))")
     p_dim.add_argument("--oracle", action="store_true",
                        help="cross-check against the exhaustive oracle")
-    p_dim.add_argument("--oracle-limit", type=int, default=16)
+    p_dim.add_argument("--oracle-limit", type=int, default=ORACLE_SIZE_LIMIT)
     p_dim.add_argument("--json", action="store_true")
     p_dim.add_argument("--log", default=None, help="append a JSON run record to this file")
     p_dim.set_defaults(func=cmd_dim)

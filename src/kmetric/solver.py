@@ -18,17 +18,19 @@ pair as an int bitset over the vertices, from distance levels: with
 do not distinguish (u, v) are the OR over d of ``E[u][d] & E[v][d]``, and
 the row is the complement of that.  ``max_k``, ``distinguishers`` and both
 model builders call it, and the solver and the oracle read the same
-instance; tuple rows are made only when a caller reads
-``MulticoverInstance.rows``.
+instance.
 
 The rows of a family depend on the distances alone, not on k, and so does
 the dominance prune: a row that is a superset of another is implied at
-every demand.  Each matrix therefore builds each family's rows once, in
+every demand.  A ``_PairModel`` holds all of this: the rows, their
+smallest size and, built on the first solve that searches, the pruned
+rows and their columns (per vertex, the bitset of the kept rows holding
+it).  Each matrix builds each family's model once, in
 ``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or by the
-root set, together with the smallest row size, and prunes them once, on
-the first solve that searches.  ``max_k`` is that smallest size, an
-instance is infeasible exactly when its demand exceeds it, and every k
-solved on one matrix reuses the same pruned rows.
+root set, and an instance is that model and a demand.  ``max_k`` is the
+smallest row size, an instance is infeasible exactly when its demand
+exceeds it, and every k solved on one matrix searches the same pruned
+rows and columns.
 
 One depth-first kernel does all the search and takes its branching rule as
 an argument: max-gain (the vertex in the most deficient rows) builds the
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, combinations, compress, count
 
 from .graphs import DistanceMatrix, Graph, IndexOutOfRangeError, all_pairs_distances
@@ -88,7 +90,7 @@ class SolveStats:
     pruned: int = 0
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MulticoverInstance:
     """The coverage model: one binary variable per vertex, one row per pair.
 
@@ -96,46 +98,37 @@ class MulticoverInstance:
     assignment must hit every row at least ``demand`` times.  The objective
     is the number of chosen vertices.
 
-    ``masks`` is the canonical form: row r is the int whose bit v is set
-    when vertex v is in the row.  ``MulticoverInstance(n, rows, k)`` takes
-    rows as vertex tuples (a repeated vertex counts once), ``from_masks``
-    takes the masks themselves, and ``rows`` gives the sorted tuples back,
-    made from the masks each time it is read.
+    An instance is a demand on a ``_PairModel``, which holds the rows and
+    everything else that does not depend on the demand; two instances are
+    equal when they share a model and a demand.  The rows are
+    int bitsets, ``masks``: bit v of row r is set when vertex v is in the
+    row.  ``from_masks`` builds an instance on a model of its own, and
+    ``rows`` gives the rows back as sorted tuples, made each time it is read.
     """
 
-    universe_size: int
-    masks: tuple[int, ...]
+    model: _PairModel
     demand: int
 
-    def __init__(self, universe_size: int, rows, demand: int):
-        masks = []
-        for row in rows:
-            if min(row, default=0) < 0:
-                raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
-            masks.append(_mask_of(row))
-        self._set(universe_size, tuple(masks), demand)
+    def __post_init__(self):
+        if self.demand < 0:
+            raise ValueError(f"demand must be >= 0, got {self.demand}")
 
     @classmethod
     def from_masks(cls, universe_size: int, masks, demand: int) -> "MulticoverInstance":
-        inst = object.__new__(cls)
-        inst._set(universe_size, tuple(masks), demand)
-        return inst
+        masks = tuple(masks)
+        if masks and (min(masks) < 0 or max(masks) >> universe_size):
+            bad = next(m for m in masks if m < 0 or m >> universe_size)
+            row = _mask_to_tuple(bad) if bad > 0 else f"mask {bad}"
+            raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
+        return cls(_PairModel(universe_size, masks), demand)
 
-    def _set(self, universe_size: int, masks: tuple[int, ...], demand: int, model=None) -> None:
-        """Set the fields; ``model`` is the ``_PairModel`` holding ``masks``
-        when the rows are shared, else the masks are checked and get their own."""
-        if demand < 0:
-            raise ValueError(f"demand must be >= 0, got {demand}")
-        if model is None:
-            if masks and (min(masks) < 0 or max(masks) >> universe_size):
-                bad = next(m for m in masks if m < 0 or m >> universe_size)
-                row = _mask_to_tuple(bad) if bad > 0 else f"mask {bad}"
-                raise ValueError(f"row {row} outside universe 0..{universe_size - 1}")
-            model = _PairModel(masks)
-        object.__setattr__(self, "universe_size", universe_size)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "_model", model)
+    @property
+    def universe_size(self) -> int:
+        return self.model.n
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return self.model.masks
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -143,11 +136,7 @@ class MulticoverInstance:
 
     @property
     def feasible(self) -> bool:
-        return self._model.min_size >= self.demand
-
-    def satisfied_by(self, selected) -> bool:
-        chosen = _mask_of(selected)
-        return all((m & chosen).bit_count() >= self.demand for m in self.masks)
+        return self.model.min_size >= self.demand
 
 
 @dataclass(frozen=True)
@@ -176,26 +165,20 @@ class DimResult:
             "infinite": self.is_infinite,
             "basis": [v + 1 for v in self.basis],
             "optimal": self.optimal,
-            "stats": {
-                "nodes": self.stats.nodes,
-                "rows": self.stats.rows,
-                "pruned": self.stats.pruned,
-            },
+            "stats": asdict(self.stats),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DimResult":
+        # A record without stats, or without some of them, reads the
+        # missing ones as the SolveStats defaults.
         stats = data.get("stats", {})
         return cls(
             k=data["k"],
             value=INFINITE if data["infinite"] else data["dim"],
             basis=tuple(v - 1 for v in data["basis"]),
             optimal=data["optimal"],
-            stats=SolveStats(
-                nodes=stats.get("nodes", 0),
-                rows=stats.get("rows", 0),
-                pruned=stats.get("pruned", 0),
-            ),
+            stats=SolveStats(**{f.name: stats[f.name] for f in fields(SolveStats) if f.name in stats}),
         )
 
 
@@ -239,24 +222,27 @@ def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
 
 
 class _PairModel:
-    """The rows of one pair family, shared by the instances of every demand.
+    """The rows of one pair family over n vertices, shared by every demand.
 
     ``min_size`` is the smallest row size, INFINITE when there are no rows,
     so the family admits demand k exactly when ``min_size >= k``.
-    ``pruned()`` gives the dominance-pruned rows and the dropped count,
-    computed on its first call.
+    ``pruned()`` gives what the search reads, none of which depends on k
+    either: the dominance-pruned rows, the dropped count and the columns
+    of the kept rows, built on its first call.
     """
 
-    __slots__ = ("masks", "min_size", "_pruned")
+    __slots__ = ("n", "masks", "min_size", "_pruned")
 
-    def __init__(self, masks: tuple[int, ...]):
+    def __init__(self, n: int, masks: tuple[int, ...]):
+        self.n = n
         self.masks = masks
         self.min_size = min(map(int.bit_count, masks), default=INFINITE)
         self._pruned = None
 
-    def pruned(self) -> tuple[tuple[int, ...], int]:
+    def pruned(self) -> tuple[tuple[int, ...], int, list[int]]:
         if self._pruned is None:
-            self._pruned = _prune_dominated(self.masks)
+            kept, dropped = _prune_dominated(self.masks)
+            self._pruned = kept, dropped, _columns(kept, self.n)
         return self._pruned
 
 
@@ -270,7 +256,7 @@ def _pair_model(dm: DistanceMatrix, rg: RootedGraph | None = None) -> _PairModel
     model = dm.pair_models.get(key)
     if model is None:
         pairs = None if rg is None else sphere_pairs(rg, dm)
-        model = dm.pair_models[key] = _PairModel(tuple(_pair_masks(dm, pairs)))
+        model = dm.pair_models[key] = _PairModel(dm.n, tuple(_pair_masks(dm, pairs)))
     return model
 
 
@@ -306,17 +292,18 @@ def is_k_generator(dm: DistanceMatrix, selected, k: int, pairs=None) -> bool:
 
 
 def _pair_instance(dm: DistanceMatrix, k: int, rg: RootedGraph | None = None) -> MulticoverInstance:
-    """The instance of one pair family at demand k >= 1, on the shared rows."""
+    """The instance of one pair family at demand k >= 1, on the family's shared model."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    model = _pair_model(dm, rg)
-    inst = object.__new__(MulticoverInstance)
-    inst._set(dm.n, model.masks, k, model)
-    return inst
+    return MulticoverInstance(_pair_model(dm, rg), k)
 
 
 def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
-    """One row per unordered vertex pair, in (i, j) lexicographic order."""
+    """One row per unordered vertex pair, in (i, j) lexicographic order.
+
+    There is no graph to check ``dm`` against, so the rows are those of
+    whatever graph the matrix was computed from.
+    """
     return _pair_instance(dm, k)
 
 
@@ -338,9 +325,10 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
 
     Minimizing one set that k-distinguishes every sphere pair is equivalent
     to minimizing the union of per-sphere generators, since each per-sphere
-    generator may be taken equal to the union.
+    generator may be taken equal to the union.  ``dm`` must be the distance
+    matrix of ``rg.graph``; one of another vertex count raises ValueError.
     """
-    return _pair_instance(dm, k, rg)
+    return _pair_instance(_distances_of(rg.graph, dm), k, rg)
 
 
 def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -355,6 +343,15 @@ def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
         else:
             kept.append(m)
     return tuple(kept), dropped
+
+
+def _columns(masks: Sequence[int], n: int) -> list[int]:
+    """Per vertex v, the bitset of the rows holding v."""
+    rows_of = [[] for _ in range(n)]
+    for r, m in enumerate(masks):
+        for v in _bits(m):
+            rows_of[v].append(r)
+    return [sum(1 << r for r in rows) for rows in rows_of]
 
 
 class _Search:
@@ -389,16 +386,11 @@ class _Search:
     (up to n) is not bounded by Python's recursion limit.
     """
 
-    def __init__(self, masks: tuple[int, ...], k: int, n: int):
+    def __init__(self, model: _PairModel, k: int):
         self.k = k
-        self.masks = masks
-        self.free = (1 << n) - 1
-        rows_of = [[] for _ in range(n)]
-        for r, m in enumerate(masks):
-            for v in _bits(m):
-                rows_of[v].append(r)
-        self.col_of = [sum(1 << r for r in rows) for rows in rows_of]
-        self.all_rows = (1 << len(masks)) - 1
+        self.masks, _, self.col_of = model.pruned()
+        self.free = (1 << model.n) - 1
+        self.all_rows = (1 << len(self.masks)) - 1
         self.level = [0] * (k + 1)
         self.level[k] = self.all_rows
         self.trail: list[int] = []
@@ -563,13 +555,6 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
 
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def solve_exact(inst: MulticoverInstance) -> DimResult:
     """Exact minimum of the multicover objective with a witness basis.
 
@@ -580,15 +565,14 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     row-packing (integer Lagrangian) bound; the second extracts the
     lexicographically smallest basis of that value under the same cuts.
     """
-    n, k, masks = inst.universe_size, inst.demand, inst.masks
+    k, masks = inst.demand, inst.masks
     if k == 0 or not masks:
         return DimResult(k, 0, (), True, SolveStats(rows=len(masks)))
     if not inst.feasible:
         return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
-    kept, dropped = inst._model.pruned()
-    stats_rows = len(kept)
+    kept, dropped, _ = inst.model.pruned()
 
-    search = _Search(kept, k, n)
+    search = _Search(inst.model, k)
     search.greedy()
     search.run(search.max_gain, False)
 
@@ -605,7 +589,7 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         optimum,
         _mask_to_tuple(search.best_mask),
         True,
-        SolveStats(nodes=search.nodes, rows=stats_rows, pruned=dropped),
+        SolveStats(nodes=search.nodes, rows=len(kept), pruned=dropped),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from kmetric import cli
 from kmetric.cli import main
 from kmetric.fileio import graph_from_text, graph_to_text, write_graph
-from kmetric.graphs import complete_graph, cycle_graph, path_graph
+from kmetric.graphs import build_graph, complete_graph, cycle_graph, path_graph
 from kmetric.solver import solve_exact
 
 
@@ -145,6 +145,17 @@ class TestMaxkCommand:
     def test_json(self, p3_file, capsys):
         assert main(["maxk", p3_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"max_k": 2, "infinite": False}
+
+    def test_one_vertex_is_infinite(self, tmp_path, capsys):
+        # No pairs to distinguish, so every k admits a generator.
+        path = tmp_path / "k1.txt"
+        log = tmp_path / "session.jsonl"
+        write_graph(path, build_graph(1, []))
+        assert main(["maxk", str(path), "--json", "--log", str(log)]) == 0
+        assert capsys.readouterr().out == '{"infinite": true, "max_k": null}\n'
+        assert json.loads(log.read_text())["result"] == {"max_k": "infinite"}
+        assert main(["maxk", str(path)]) == 0
+        assert capsys.readouterr().out == "max_k = infinite\n"
 
 
 class TestProductCommand:

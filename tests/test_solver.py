@@ -20,6 +20,7 @@ from kmetric.solver import (
     SamePairError,
     SizeLimitExceededError,
     SolveStats,
+    _PairModel,
     _prune_dominated,
     _Search,
     build_instance_full,
@@ -162,32 +163,36 @@ class TestIsKGenerator:
 
 class TestMulticoverInstance:
     def test_rows_in_sorted_tuples_out(self):
-        inst = MulticoverInstance(4, ((2, 0, 1), (3, 1)), 2)
-        assert inst.masks == (0b0111, 0b1010)
+        inst = MulticoverInstance.from_masks(4, [0b0111, 0b1010], 2)
+        assert (inst.universe_size, inst.masks, inst.demand) == (4, (0b0111, 0b1010), 2)
         assert inst.rows == ((0, 1, 2), (1, 3))
-        assert inst == MulticoverInstance.from_masks(4, (0b0111, 0b1010), 2)
-        assert hash(inst) == hash(MulticoverInstance(4, ((0, 1, 2), (1, 3)), 2))
-        assert inst != MulticoverInstance(4, ((0, 1, 2), (1, 3)), 1)
 
-    @pytest.mark.parametrize("rows", [((5, 0),), ((0, 1), (2, 0, 3)), ((1, -1),)])
-    def test_every_vertex_checked(self, rows):
-        # Only the first and last entry of a row used to be checked, so an
-        # unsorted row got through and the solver died with an IndexError.
-        with pytest.raises(ValueError, match="outside universe"):
-            MulticoverInstance(3, rows, 2)
+    def test_equal_when_model_and_demand_are_shared(self):
+        dm = all_pairs_distances(cycle_graph(5))
+        inst = build_instance_full(dm, 2)
+        assert inst.model is build_instance_full(dm, 1).model
+        assert inst == MulticoverInstance(inst.model, 2)
+        assert hash(inst) == hash(MulticoverInstance(inst.model, 2))
+        assert inst != build_instance_full(dm, 1)
+        # Equal rows on a model of their own are another instance.
+        assert inst != MulticoverInstance.from_masks(5, inst.masks, 2)
 
     def test_mask_outside_universe_rejected(self):
-        with pytest.raises(ValueError, match="outside universe"):
-            MulticoverInstance.from_masks(3, (0b011, 0b1001), 1)
+        # Every row is checked, not only the first or the last.
+        for masks in ((0b100001,), (0b011, 0b1001, 0b110), (0b011, -1)):
+            with pytest.raises(ValueError, match="outside universe 0..2"):
+                MulticoverInstance.from_masks(3, masks, 1)
 
-    def test_repeated_vertex_counts_once(self):
-        inst = MulticoverInstance(3, ((0, 0, 1),), 3)
-        assert inst.rows == ((0, 1),)
+    def test_negative_demand_rejected(self):
+        with pytest.raises(ValueError, match="demand must be >= 0, got -1"):
+            MulticoverInstance.from_masks(3, (0b011,), -1)
+
+    def test_undersized_row_infeasible(self):
+        inst = MulticoverInstance.from_masks(3, (0b011,), 3)
         assert not inst.feasible
-        assert not inst.satisfied_by((0, 0, 1, 2))
         assert solve_exact(inst).is_infinite and oracle_solve(inst).is_infinite
-        two = MulticoverInstance(3, ((0, 0, 1),), 2)
-        assert two.feasible and two.satisfied_by((1, 0)) and not two.satisfied_by((0, 0))
+        two = MulticoverInstance.from_masks(3, (0b011,), 2)
+        assert two.feasible and solve_exact(two).basis == oracle_solve(two).basis == (0, 1)
 
 
 class TestBuildInstanceFull:
@@ -226,7 +231,7 @@ class TestBuildInstanceRooted:
         rg = RootedGraph(g, (1, 3, 5, 7))
         dm = all_pairs_distances(g)
         inst = build_instance_rooted(rg, dm, 2)
-        assert inst.satisfied_by((0, 2))
+        assert is_k_generator(dm, (0, 2), 2, pairs=sphere_pairs(rg, dm))
         res = solve_exact(inst)
         assert res.value == 2 and res.basis == (0, 2)
 
@@ -236,6 +241,13 @@ class TestBuildInstanceRooted:
         dm = all_pairs_distances(g)
         pairs = sphere_pairs(rg, dm)
         assert len(pairs) == len(set(pairs))
+
+    def test_distances_of_another_graph_rejected(self):
+        # C_6's matrix used to give P_3 rooted at 0 a 6-vertex instance,
+        # solved with basis (1,).
+        rg = RootedGraph(path_graph(3), (0,))
+        with pytest.raises(ValueError, match="distance matrix has 6 vertices, the graph has 3"):
+            build_instance_rooted(rg, all_pairs_distances(cycle_graph(6)), 1)
 
 
 class TestSolveExact:
@@ -253,7 +265,7 @@ class TestSolveExact:
         assert res.is_infinite and res.basis == ()
 
     def test_empty_rows_value_zero(self):
-        res = solve_exact(MulticoverInstance(5, (), 3))
+        res = solve_exact(MulticoverInstance.from_masks(5, (), 3))
         assert res.value == 0 and res.basis == ()
 
     def test_dominance_stats(self):
@@ -262,7 +274,7 @@ class TestSolveExact:
         assert res.stats.rows == 1 and res.stats.pruned == 2
 
     def test_demand_zero(self):
-        res = solve_exact(MulticoverInstance(3, ((0, 1),), 0))
+        res = solve_exact(MulticoverInstance.from_masks(3, (0b011,), 0))
         assert res.value == 0
 
     # Node counts with every cut, per instance.  The test ids carry the
@@ -330,7 +342,8 @@ class TestSolveExact:
     def test_depth_beyond_recursion_limit(self):
         # Phase 2 excludes vertices 0..1498 one below the other before it
         # reaches the cover {1499}: a search path 1,500 deep.
-        res = solve_exact(MulticoverInstance(1500, tuple((i, 1499) for i in range(1499)), 1))
+        masks = [1 << i | 1 << 1499 for i in range(1499)]
+        res = solve_exact(MulticoverInstance.from_masks(1500, masks, 1))
         assert res.value == 1 and res.basis == (1499,)
 
 
@@ -366,8 +379,10 @@ class TestPairModelCache:
                     assert (dim_k(g, k, dm), dim_k_rooted(rg, k, dm)) == fresh[k]
 
     def test_rows_built_and_pruned_once_per_family(self, monkeypatch):
-        calls = {"build": 0, "prune": 0}
-        real_build, real_prune = solver._pair_masks, solver._prune_dominated
+        # The rows, the pruned rows and their columns are built once per
+        # family and matrix, whatever k and in whatever order.
+        calls = {"_pair_masks": 0, "_prune_dominated": 0, "_columns": 0}
+        real = solver._pair_masks, solver._prune_dominated, solver._columns
 
         def counting(key, fn):
             def wrapped(*args):
@@ -375,18 +390,20 @@ class TestPairModelCache:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(solver, "_pair_masks", counting("build", real_build))
-        monkeypatch.setattr(solver, "_prune_dominated", counting("prune", real_prune))
+        for name, fn in zip(("_pair_masks", "_prune_dominated", "_columns"), real):
+            monkeypatch.setattr(solver, name, counting(name, fn))
         g = nanotube(4, 1).graph
         dm = all_pairs_distances(g)
         top = max_k(dm)
         for k in range(top + 1, 0, -1):
             dim_k(g, k, dm)
-        assert calls == {"build": 1, "prune": 1}
+        for k in (2, top):
+            dim_k(g, k, dm)
+        assert calls == {"_pair_masks": 1, "_prune_dominated": 1, "_columns": 1}
         rg = RootedGraph(g, (0,))
-        for k in (1, 2, 1):
+        for k in (1, 2, 1, 3):
             dim_k_rooted(rg, k, dm)
-        assert calls == {"build": 2, "prune": 2}
+        assert calls == {"_pair_masks": 2, "_prune_dominated": 2, "_columns": 2}
 
     def test_max_k_is_smallest_distinguisher_set(self, catalog):
         rng = random.Random(28)
@@ -398,14 +415,13 @@ class TestPairModelCache:
             assert max_k(dm) == smallest
 
     def test_hand_built_instance_prunes_its_own_rows(self):
-        rows = ((0, 1), (0, 1, 2), (2, 3), (1, 2, 3), (0, 2))
-        for inst in (MulticoverInstance(4, rows, 1),
-                     MulticoverInstance.from_masks(4, (0b0011, 0b0111, 0b1100, 0b1110, 0b0101), 1)):
-            res = solve_exact(inst)
-            assert (res.value, res.basis) == (2, (0, 2))
-            assert res.stats.rows == 3 and res.stats.pruned == 2
-            assert solve_exact(inst) == res
-        two = solve_exact(MulticoverInstance(4, rows, 2))
+        masks = (0b0011, 0b0111, 0b1100, 0b1110, 0b0101)
+        inst = MulticoverInstance.from_masks(4, masks, 1)
+        res = solve_exact(inst)
+        assert (res.value, res.basis) == (2, (0, 2))
+        assert res.stats.rows == 3 and res.stats.pruned == 2
+        assert solve_exact(inst) == res
+        two = solve_exact(MulticoverInstance(inst.model, 2))
         assert (two.value, two.stats.rows, two.stats.pruned) == (4, 3, 2)
 
 
@@ -422,8 +438,7 @@ def test_search_state_restored_after_each_phase():
         n = rng.randint(3, 12)
         k = rng.randint(1, 3)
         rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
-        masks, _ = _prune_dominated([sum(1 << v for v in row) for row in rows])
-        search = _Search(masks, k, n)
+        search = _Search(_PairModel(n, tuple(sum(1 << v for v in row) for row in rows)), k)
         root = _search_state(search)
         search.greedy()
         assert _search_state(search) == root
@@ -463,10 +478,11 @@ def test_packing_bound_is_sound():
         n = rng.randint(3, 12)
         k = rng.randint(1, 3)
         rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
-        masks, _ = _prune_dominated([sum(1 << v for v in row) for row in rows])
-        search = _Search(masks, k, n)
+        model = _PairModel(n, tuple(sum(1 << v for v in row) for row in rows))
+        search = _Search(model, k)
+        masks = search.masks
         root = search.packing_bound(n + 1)
-        assert search._max_def() <= root <= oracle_solve(MulticoverInstance(n, rows, k)).value
+        assert search._max_def() <= root <= oracle_solve(MulticoverInstance(model, k)).value
         moved = rng.sample(range(n), rng.randint(1, n - 1))
         feasible = True
         for v in moved:
@@ -556,7 +572,7 @@ class TestOracle:
         assert res.value == 2 and res.basis == (0, 2)
 
     def test_undersized_row_infinite(self):
-        res = oracle_solve(MulticoverInstance(4, ((0,),), 2))
+        res = oracle_solve(MulticoverInstance.from_masks(4, (0b0001,), 2))
         assert res.is_infinite
 
     def test_c4_rooted(self):
@@ -656,7 +672,6 @@ class TestSolverProperties:
             inst = build_instance_full(dm, k)
             res = solve_exact(inst)
             if not res.is_infinite:
-                assert inst.satisfied_by(res.basis)
                 assert is_k_generator(dm, res.basis, k)
 
     def test_deterministic_across_edge_orderings(self):
