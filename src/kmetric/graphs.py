@@ -79,19 +79,21 @@ class DistanceMatrix:
         return self.d[i]
 
     @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        """levels[u][d]: the bitset of vertices at distance d from u.
+    def packed(self) -> tuple[tuple[int, ...], ...]:
+        """packed[p][u]: the distance row of u as an int, one byte per vertex.
 
-        Computed on first use and kept, so every model built from this
-        matrix shares one copy.
+        Byte w of the int, counted from the low end, is byte p of d(u, w).
+        There is one byte plane per byte of the diameter, so a single one
+        below 256.  Computed on first use and kept, so every model built
+        from this matrix shares one copy.
         """
-        out = []
-        for row in self.d:
-            by_d = [0] * (max(row) + 1)
-            for w, d in enumerate(row):
-                by_d[d] |= 1 << w
-            out.append(tuple(by_d))
-        return tuple(out)
+        diameter = max(map(max, self.d))
+        if diameter < 256:
+            return (tuple(int.from_bytes(bytes(row), "little") for row in self.d),)
+        return tuple(
+            tuple(int.from_bytes(bytes(x >> s & 255 for x in row), "little") for row in self.d)
+            for s in range(0, diameter.bit_length(), 8)
+        )
 
     @cached_property
     def pair_models(self) -> dict:

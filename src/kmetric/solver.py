@@ -12,11 +12,13 @@ A model is a pair family turned into rows.  The full family is every pair
 i < j; the rooted family, which the hierarchical-product theorems need,
 keeps the pairs on a common distance sphere around a root
 (``sphere_pairs``).  One builder, ``_pair_masks``, makes the row of every
-pair as an int bitset over the vertices, from distance levels: with
-``E[u][d]`` the bitset of vertices at distance d from u
-(``DistanceMatrix.levels``, computed once per matrix), the vertices that
-do not distinguish (u, v) are the OR over d of ``E[u][d] & E[v][d]``, and
-the row is the complement of that.  ``max_k``, ``distinguishers`` and both
+pair as an int bitset over the vertices, from packed distance rows: with
+``D[u]`` the distances from u packed one byte per vertex
+(``DistanceMatrix.packed``, computed once per matrix), the bytes of
+``D[u] ^ D[v]`` are nonzero exactly at the distinguishers of (u, v), so
+one XOR, one byte translation and one base-2 parse make the row.  A
+diameter of 256 or more takes one such plane per byte of the distances,
+ORed before the translation.  ``max_k``, ``distinguishers`` and both
 model builders call it, and the solver and the oracle read the same
 instance.
 
@@ -65,7 +67,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, combinations, compress, count
+from functools import partial, reduce
+from itertools import chain, combinations, compress, count, starmap
+from operator import or_, xor
 
 from .graphs import DistanceMatrix, Graph, IndexOutOfRangeError, all_pairs_distances
 from .products import RootedGraph
@@ -204,21 +208,30 @@ def distinguishers(dm: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     return _mask_to_tuple(next(_pair_masks(dm, ((u, v),))))
 
 
+# Byte 0 to the digit "0", every other byte to "1".
+_NONZERO = b"0" + b"1" * 255
+
+
 def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
     """Distinguisher bitsets of ``pairs``, in their order.
 
-    ``None`` means every pair (i, j), i < j, in lexicographic order.  The
-    levels of one vertex are disjoint, so the per-level intersections of u
-    and v are too, and their sum is their OR: the vertices equidistant
-    from u and v, whose complement is the row.
+    ``None`` means every pair (i, j), i < j, in lexicographic order; other
+    pairs come as a sequence.  The XOR of two packed distance rows
+    (``DistanceMatrix.packed``) has a nonzero byte exactly at the vertices
+    whose distances differ in that byte plane; with more than one plane
+    the XORs are ORed.  Each byte of the result is then spelled as a
+    binary digit, high vertex first, and parsed as the row.
     """
-    levels = dm.levels
-    full = (1 << dm.n) - 1
+    n = dm.n
     if pairs is None:
-        level_pairs = combinations(levels, 2)
+        diffs = (starmap(xor, combinations(plane, 2)) for plane in dm.packed)
     else:
-        level_pairs = ((levels[u], levels[v]) for u, v in pairs)
-    return (full ^ sum(map(int.__and__, eu, ev)) for eu, ev in level_pairs)
+        # plane.__getitem__ binds each plane as it is reached; a nested
+        # generator would read whichever plane the outer loop is on.
+        us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+        diffs = (map(xor, map(plane.__getitem__, us), map(plane.__getitem__, vs)) for plane in dm.packed)
+    # One plane is its own XORs; more are ORed pairwise in C.
+    return (int(x.to_bytes(n, "big").translate(_NONZERO), 2) for x in reduce(partial(map, or_), diffs))
 
 
 class _PairModel:
@@ -310,13 +323,16 @@ def build_instance_full(dm: DistanceMatrix, k: int) -> MulticoverInstance:
 def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], ...]:
     """Deduplicated pairs lying on a common distance sphere around a root.
 
-    A sphere is the set of vertices at one exact distance >= 1 from a root,
-    one of ``dm.levels[u][1:]``.
+    A sphere is the set of vertices at one exact distance >= 1 from a root.
     """
     pairs: set[tuple[int, int]] = set()
     for u in rg.roots:
-        for sphere in dm.levels[u][1:]:
-            pairs.update(combinations(_bits(sphere), 2))
+        row = dm.d[u]
+        spheres: list[list[int]] = [[] for _ in range(max(row) + 1)]
+        for w, d in enumerate(row):
+            spheres[d].append(w)
+        for sphere in spheres[1:]:
+            pairs.update(combinations(sphere, 2))
     return tuple(sorted(pairs))
 
 
@@ -332,26 +348,29 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
 
 
 def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Drop rows that are supersets of other rows (implied constraints)."""
-    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
+    """Drop rows that are supersets of other rows (implied constraints).
+
+    The distinct rows are taken by size, then by value, and one is kept
+    when every row kept before it has a member outside it; a repeated row
+    is dropped with its first copy kept.
+    """
+    rows = sorted(set(masks))
+    rows.sort(key=int.bit_count)
+    full = (1 << max(masks, default=0).bit_length()) - 1
     kept: list[int] = []
-    dropped = 0
-    for i in order:
-        m = masks[i]
-        if any(km & m == km for km in kept):
-            dropped += 1
-        else:
+    for m in rows:
+        if all(map((full ^ m).__and__, kept)):
             kept.append(m)
-    return tuple(kept), dropped
+    return tuple(kept), len(masks) - len(kept)
 
 
 def _columns(masks: Sequence[int], n: int) -> list[int]:
     """Per vertex v, the bitset of the rows holding v."""
-    rows_of = [[] for _ in range(n)]
-    for r, m in enumerate(masks):
-        for v in _bits(m):
-            rows_of[v].append(r)
-    return [sum(1 << r for r in rows) for rows in rows_of]
+    # Spelled in n binary digits, last row first, the rows transpose into
+    # one digit string per vertex, high vertex first, whose digit r from
+    # the low end is row r.
+    spelled = (format(m, f"0{n}b") for m in reversed(masks))
+    return [int("".join(col), 2) for col in zip(*spelled)][::-1] or [0] * n
 
 
 class _Search:

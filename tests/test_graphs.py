@@ -65,11 +65,20 @@ class TestDistances:
     def test_k1(self):
         dm = all_pairs_distances(build_graph(1, []))
         assert dm.d == ((0,),)
-        assert dm.levels == ((0b1,),)
+        assert dm.packed == ((0,),)
 
-    def test_p3_levels(self):
+    def test_p3_packed(self):
+        # Byte w from the low end of row u is d(u, w).
         dm = all_pairs_distances(path_graph(3))
-        assert dm.levels == ((0b001, 0b010, 0b100), (0b010, 0b101), (0b100, 0b010, 0b001))
+        assert dm.packed == ((0x020100, 0x010001, 0x000102),)
+
+    def test_c600_packed_in_two_planes(self):
+        # A diameter of 300 needs a second byte plane for the high bytes.
+        dm = all_pairs_distances(cycle_graph(600))
+        assert len(dm.packed) == 2
+        for u, (low, high) in enumerate(zip(*dm.packed)):
+            spelled = zip(low.to_bytes(600, "little"), high.to_bytes(600, "little"))
+            assert tuple(lo | hi << 8 for lo, hi in spelled) == dm.d[u]
 
     def test_c4(self):
         dm = all_pairs_distances(cycle_graph(4))

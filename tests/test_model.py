@@ -1,21 +1,31 @@
-"""Property tests of the distinguisher model built from distance levels.
+"""Property tests of the distinguisher model built from packed distance rows.
 
 Every row mask is checked against a brute-force scan of the distance
 matrix, for the full model and the rooted (sphere-pair) model, on random
-connected graphs and on catalog graphs.
+connected graphs, on catalog graphs and on graphs whose diameter needs
+more than one byte.  The dominance prune and the column transpose are
+checked against pairwise and per-bit references.
 """
+
+import random
+from itertools import combinations
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmetric.catalog import connected_graphs
-from kmetric.graphs import all_pairs_distances, build_graph
+from kmetric.chemgen import armchair
+from kmetric.graphs import all_pairs_distances, build_graph, cycle_graph, path_graph
 from kmetric.products import RootedGraph
 from kmetric.solver import (
     INFINITE,
+    _columns,
+    _prune_dominated,
     build_instance_full,
     build_instance_rooted,
+    distinguishers,
     max_k,
     sphere_pairs,
 )
@@ -86,3 +96,57 @@ def test_builders_reject_k_below_one():
         build_instance_full(dm, 0)
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         build_instance_rooted(RootedGraph(g, (1,)), dm, 0)
+
+
+def test_path_rows_exact_past_one_byte():
+    # Distances at least 256 apart agree in their low byte, and only a pair
+    # at distance >= 256 can hold two such distances (triangle inequality).
+    dm = all_pairs_distances(path_graph(300))
+    far = [(u, v) for u, v in combinations(range(300), 2) if v - u >= 256]
+    near = [(u, v) for u, v in combinations(range(300), 2) if v - u < 256]
+    assert len(far) == 990
+    for u, v in far + random.Random(30).sample(near, 500):
+        assert distinguishers(dm, u, v) == brute_row(dm, u, v)
+    pairs = combinations(range(300), 2)
+    assert max_k(dm) == min(sum(map(ne, dm.d[u], dm.d[v])) for u, v in pairs)
+
+
+def test_cycle_rooted_rows_exact_past_one_byte():
+    g = cycle_graph(600)
+    dm = all_pairs_distances(g)
+    rg = RootedGraph(g, (0,))
+    check_rows(build_instance_rooted(rg, dm, 1), dm, sphere_pairs(rg, dm))
+    # A rotation takes every pair of the cycle to a pair through vertex 0.
+    assert max_k(dm) == min(sum(map(ne, dm.d[0], dm.d[v])) for v in range(1, 600))
+
+
+def reference_prune(masks):
+    """The pairwise prune: rows by (size, value), each tested against every kept row."""
+    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
+    kept, dropped = [], 0
+    for i in order:
+        m = masks[i]
+        if any(km & m == km for km in kept):
+            dropped += 1
+        else:
+            kept.append(m)
+    return tuple(kept), dropped
+
+
+def reference_columns(masks, n):
+    return [sum(1 << r for r, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+
+
+def test_prune_and_columns_match_references():
+    cases = []
+    for g in connected_graphs() + [armchair(3).graph]:
+        dm = all_pairs_distances(g)
+        for inst in (build_instance_full(dm, 1), build_instance_rooted(RootedGraph(g, (0,)), dm, 1)):
+            cases.append((inst.masks, g.n))
+    # Repeated rows, an empty row, and vertex 4 in no row.
+    cases += [((0b0110, 0b0011, 0b0110, 0b1111, 0b0011), 5), ((0b1010, 0, 0b0001, 0), 5), ((), 3)]
+    for masks, n in cases:
+        kept, dropped = _prune_dominated(masks)
+        assert (kept, dropped) == reference_prune(masks)
+        assert _columns(kept, n) == reference_columns(kept, n)
+        assert _columns(masks, n) == reference_columns(masks, n)
