@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 from . import bounds as bnd
 from . import chemgen
@@ -249,44 +250,23 @@ def cmd_bound(args) -> int:
     return 0
 
 
-# Reference table for verify-table: exact k-metric dimensions of the three
-# small families for k = 2..5, plus the bound values the reference lists.
-TABLE_EXACT = {
-    "F_{4,1}": [4, 6, 8, 9],
-    "Gamma_{1,2}": [4, 5, 7, 8],
-    "Gamma_{1,3}": [4, 5, 7, 9],
-}
-TABLE_BOUNDS = {
-    "F_{4,1}": [4, 6, 8, 10],
-    "Gamma_{1,2}": [4, 6, 8, 10],
-    "Gamma_{1,3}": [4, 6, 8, 10],
-}
-
-
-def _table_graphs() -> dict[str, Graph]:
-    return {
-        "F_{4,1}": chemgen.nanotube(4, 1).graph,
-        "Gamma_{1,2}": chemgen.polyhex_row(2).graph,
-        "Gamma_{1,3}": chemgen.polyhex_row(3).graph,
-    }
-
-
-def _formula_bound(name: str, k: int) -> int:
-    if name == "F_{4,1}":
-        return bnd.nanotube_bound(4, 1, k)
-    p = 2 if name == "Gamma_{1,2}" else 3
-    return bnd.polyhex_bound(p, k)
+# Reference table for verify-table: per small family, its graph, its bound
+# formula in k, and for k = 2..5 the exact k-metric dimensions and the bound
+# values the reference lists.
+VERIFY_TABLE = (
+    ("F_{4,1}", partial(chemgen.nanotube, 4, 1), partial(bnd.nanotube_bound, 4, 1), (4, 6, 8, 9), (4, 6, 8, 10)),
+    ("Gamma_{1,2}", partial(chemgen.polyhex_row, 2), partial(bnd.polyhex_bound, 2), (4, 5, 7, 8), (4, 6, 8, 10)),
+    ("Gamma_{1,3}", partial(chemgen.polyhex_row, 3), partial(bnd.polyhex_bound, 3), (4, 5, 7, 9), (4, 6, 8, 10)),
+)
 
 
 def cmd_verify_table(args) -> int:
-    graphs = _table_graphs()
     failures = 0
     print(f"{'graph':<12} {'k':>2} {'bound':>6} {'exact':>6} {'expected':>8}  status")
-    for name, g in graphs.items():
-        for idx, k in enumerate((2, 3, 4, 5)):
-            expected = TABLE_EXACT[name][idx]
-            table_bound = TABLE_BOUNDS[name][idx]
-            formula = _formula_bound(name, k)
+    for name, family, bound, exact, listed in VERIFY_TABLE:
+        g = family().graph
+        for k, expected, table_bound in zip((2, 3, 4, 5), exact, listed):
+            formula = bound(k)
             value = int(dim_k(g, k).value)
             if value != expected:
                 status = "FAIL"

@@ -39,13 +39,13 @@ an argument: max-gain (the vertex in the most deficient rows) builds the
 greedy incumbent and proves the optimum, then lowest-index finds the
 lexicographically smallest basis of that size.  The kernel keeps the rows
 as bitsets per deficit level, ``level[d]`` holding the rows that still lack
-d of their demand, and a trail of the rows each include covered, so an
-include is k mask operations and its undo moves the same rows back up.  An
-exclude checks only the deficient rows of the excluded vertex: those are
-the only rows it can leave uncompletable from the free vertices, and an
-uncompletable node is left at once.  The kernel walks the tree with an
-explicit stack, so the search depth, which can reach the number of
-vertices, does not depend on Python's recursion limit.
+d of their demand, so an include is k mask operations.  An exclude checks
+only the deficient rows of the excluded vertex: those are the only rows it
+can leave uncompletable from the free vertices, and an uncompletable node
+is left at once.  Before each include the kernel pushes the levels and the
+free vertices onto an explicit stack, and backtracking restores them whole,
+so no move needs an inverse, and the search depth, which can reach the
+number of vertices, does not depend on Python's recursion limit.
 
 A node is cut by two lower bounds on the vertices it still needs.  The
 largest deficit of a single row, the highest non-empty level, is the cheap
@@ -382,15 +382,12 @@ class _Search:
     the greedy incumbent.  ``lowest_index`` picks the smallest free vertex
     of some deficient row and drives phase 2.
 
-    The state of the current node is one row bitset per level, a trail and
-    the free vertices:
+    The state of the current node is one row bitset per level and the free
+    vertices:
 
     - ``level[d]``, for d = 0..k: bit r is set when row r still lacks d of
       its demand on the include path.  Covered rows sit at level 0, and
       the deficient rows are ``all_rows ^ level[0]``;
-    - ``trail``: per include, the mask of the rows it moved from level 1
-      to level 0.  Its other rows sit one level below where they started,
-      so undoing an include moves them back up from ``col_of[v]`` alone;
     - ``free``: the bitset of vertices neither included nor excluded.
 
     An include moves ``level[d] & col_of[v]`` down one level for d = 1..k
@@ -400,19 +397,19 @@ class _Search:
     is feasible exactly when its last exclude left every deficient row of
     that vertex with at least its deficit in free vertices, which
     ``_exclude`` reports; ``run`` backtracks from an infeasible node at
-    once.  Each move has an exact inverse.  ``run`` walks the tree with an
-    explicit stack of branched vertices instead of recursion, so the depth
-    (up to n) is not bounded by Python's recursion limit.
+    once.  No move is undone: ``run`` saves the state before each include
+    on an explicit stack and restores it whole when it backtracks past
+    that include, and the stack, not recursion, holds the path, so the
+    depth (up to n) is not bounded by Python's recursion limit.
     """
 
     def __init__(self, model: _PairModel, k: int):
         self.k = k
-        self.masks, _, self.col_of = model.pruned()
+        self.masks, self.dropped, self.col_of = model.pruned()
         self.free = (1 << model.n) - 1
         self.all_rows = (1 << len(self.masks)) - 1
         self.level = [0] * (k + 1)
         self.level[k] = self.all_rows
-        self.trail: list[int] = []
         self.nodes = 0
         self.best_value = 0
         self.best_mask = 0
@@ -427,25 +424,10 @@ class _Search:
     def _include(self, v: int) -> None:
         level, col = self.level, self.col_of[v]
         self.free ^= 1 << v
-        self.trail.append(level[1] & col)
         for d in range(1, self.k + 1):
             moved = level[d] & col
             level[d] ^= moved
             level[d - 1] |= moved
-
-    def _undo_include(self, v: int) -> None:
-        # The rows of v above level 0 came from one level up; only the rows
-        # v covered share level 0 with rows covered before, so those alone
-        # are on the trail.
-        level, col = self.level, self.col_of[v]
-        for d in range(self.k - 1, 0, -1):
-            moved = level[d] & col
-            level[d] ^= moved
-            level[d + 1] |= moved
-        covered = self.trail.pop()
-        level[0] ^= covered
-        level[1] |= covered
-        self.free |= 1 << v
 
     def _exclude(self, v: int) -> bool:
         """Exclude v; is every deficient row of v still completable?"""
@@ -456,9 +438,6 @@ class _Search:
                 if (masks[r] & free).bit_count() < d:
                     return False
         return True
-
-    def _undo_exclude(self, v: int) -> None:
-        self.free |= 1 << v
 
     def packing_bound(self, room: int) -> int:
         """Row-packing lower bound on the vertices still to include.
@@ -494,17 +473,15 @@ class _Search:
         """Incumbent: include the max-gain vertex until no row is deficient.
 
         Each deficient row of a feasible instance keeps a free vertex, so a
-        vertex of zero gain is never chosen.
+        vertex of zero gain is never chosen.  The picks are the vertices the
+        includes took from ``free``, and the root state is restored after.
         """
-        picked = []
+        level, free = self.level[:], self.free
         while self._max_def():
-            v = self.max_gain()
-            self._include(v)
-            picked.append(v)
-        for v in reversed(picked):
-            self._undo_include(v)
-        self.best_value = len(picked)
-        self.best_mask = sum(1 << v for v in picked)
+            self._include(self.max_gain())
+        self.best_mask = free ^ self.free
+        self.best_value = self.best_mask.bit_count()
+        self.level, self.free = level, free
 
     def run(self, branch, first_only: bool) -> None:
         """Search the whole tree from the root, include branch first.
@@ -516,47 +493,35 @@ class _Search:
         cannot fit under the incumbent.  Both bound cuts drop only nodes
         that hold no cover smaller than ``best_value``, so phase 2, run
         with the optimum plus one, still meets the lexicographically
-        smallest optimal cover first.  ``path`` holds the branched vertices
-        from the root: v where v was included, ~v where it was excluded.
+        smallest optimal cover first.  ``stack`` holds, per include on the
+        current path, the vertex and the ``level`` and ``free`` it was made
+        from; its length is the size of the path's cover.  Backtracking
+        restores the deepest entry's state and excludes its vertex, and the
+        root state is restored once at the end.
         """
-        path: list[int] = []
-        count = 0
-        chosen = 0
+        root = self.level[:], self.free
+        stack: list[tuple[int, list[int], int]] = []
         feasible = True
         while True:
             self.nodes += 1
             if feasible:
                 max_def = self._max_def()
                 if not max_def:
-                    if count < self.best_value:
-                        self.best_value = count
-                        self.best_mask = chosen
+                    if len(stack) < self.best_value:
+                        self.best_value = len(stack)
+                        self.best_mask = sum(1 << v for v, _, _ in stack)
                     if first_only:
                         break
-                elif max_def < (room := self.best_value - count) and self.packing_bound(room) < room:
+                elif max_def < (room := self.best_value - len(stack)) and self.packing_bound(room) < room:
                     v = branch()
+                    stack.append((v, self.level[:], self.free))
                     self._include(v)
-                    path.append(v)
-                    count += 1
-                    chosen |= 1 << v
                     continue
-            # Backtrack: undo the excludes above the deepest include, then
-            # turn that include into its exclude branch.
-            while path and path[-1] < 0:
-                self._undo_exclude(~path.pop())
-            if not path:
-                return
-            v = path[-1]
-            self._undo_include(v)
+            if not stack:
+                break
+            v, self.level, self.free = stack.pop()
             feasible = self._exclude(v)
-            path[-1] = ~v
-            count -= 1
-            chosen ^= 1 << v
-        for v in reversed(path):
-            if v < 0:
-                self._undo_exclude(~v)
-            else:
-                self._undo_include(v)
+        self.level, self.free = root
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -589,8 +554,6 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         return DimResult(k, 0, (), True, SolveStats(rows=len(masks)))
     if not inst.feasible:
         return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
-    kept, dropped, _ = inst.model.pruned()
-
     search = _Search(inst.model, k)
     search.greedy()
     search.run(search.max_gain, False)
@@ -608,7 +571,7 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         optimum,
         _mask_to_tuple(search.best_mask),
         True,
-        SolveStats(nodes=search.nodes, rows=len(kept), pruned=dropped),
+        SolveStats(nodes=search.nodes, rows=len(search.masks), pruned=search.dropped),
     )
 
 

@@ -426,13 +426,13 @@ class TestPairModelCache:
 
 
 def _search_state(search):
-    return search.free, list(search.level), list(search.trail)
+    return search.free, list(search.level)
 
 
 def test_search_state_restored_after_each_phase():
-    # Every move of the kernel must have an exact inverse: after the greedy
-    # incumbent, phase 1 and the early-stopping phase 2, the free vertices,
-    # every row's level and the trail are back at their values at the root.
+    # The kernel restores its saved root state after the greedy incumbent,
+    # after phase 1 and after the early-stopping phase 2: the free vertices
+    # and every row's level are back at their values at the root.
     rng = random.Random(26)
     for _ in range(200):
         n = rng.randint(3, 12)
