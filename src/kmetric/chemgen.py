@@ -14,7 +14,8 @@ yields the hexagonal face structure and the expected vertex/edge counts.
 
 Vertex labels record (stage, layer, base-index): the doubling stage that
 created the vertex, its rim level counted from the original copy, and its
-position on the original cycle or path.
+position on the original cycle or path.  The chain tracks them beside the
+products and labels the final graph once.
 """
 
 from __future__ import annotations
@@ -46,57 +47,36 @@ def path_with_even_roots(p: int) -> RootedGraph:
     return RootedGraph(path_graph(2 * p + 3), tuple(range(1, 2 * p + 2, 2)))
 
 
-def _format_label(meta: tuple[int, int, int]) -> str:
-    return f"({meta[0]},{meta[1]},{meta[2]})"
+def _doubling_chain(rg: RootedGraph, num_stages: int, roots) -> ProductGraph:
+    """Iterate (current graph)(U) x P_2 for num_stages stages, from rg.
 
-
-def _validated_roots(explicit, n: int, stage: int) -> tuple[int, ...]:
-    roots = tuple(sorted(set(explicit)))
-    if not roots:
-        raise BadRootSetError(f"stage {stage}: empty root set")
-    if roots[0] < 0 or roots[-1] >= n:
-        raise BadRootSetError(f"stage {stage}: roots {roots} outside 0..{n - 1}")
-    return roots
-
-
-def _doubling_chain(
-    base: Graph,
-    stage0_roots: tuple[int, ...],
-    num_stages: int,
-    roots,
-) -> ProductGraph:
-    """Iterate (current graph)(U) x P_2 for num_stages stages.
-
-    Tracks (stage, level, base) metadata per vertex; the top copy of each
-    doubling gets mirrored levels so the outer rim is always the maximum
-    level.
+    Each vertex's (stage, level, base) metadata is tracked beside the
+    products and applied as its label once, to the final graph.  The top
+    copy of each doubling gets mirrored levels so the outer rim is always
+    the maximum level.  ``roots``, when given, replaces the root set of
+    every stage, stage 0 included.
     """
     if roots is not None and len(roots) != num_stages:
         raise BadRootSetError(f"expected {num_stages} root sets, got {len(roots)}")
-    meta = [(0, 0, b) for b in range(base.n)]
-    g = base.with_labels([_format_label(m) for m in meta])
-    levels = 1
-    product: ProductGraph | None = None
+    g = rg.graph
+    meta = [(0, 0, b) for b in range(g.n)]
     for s in range(num_stages):
         if roots is not None:
-            u = _validated_roots(roots[s], g.n, s)
-        elif s == 0:
-            u = stage0_roots
-        else:
-            rim = levels - 1
+            try:
+                rg = RootedGraph(g, roots[s])
+            except GraphError as exc:
+                raise BadRootSetError(f"stage {s}: {exc}") from None
+        elif s > 0:
+            rim = 2**s - 1
             u = tuple(i for i, (_, lev, b) in enumerate(meta) if lev == rim and b % 2 == 0)
-        product = hierarchical_product(RootedGraph(g, u), path_graph(2))
-        new_meta = []
-        for x in range(g.n):
-            st, lev, b = meta[x]
-            new_meta.append((st, lev, b))
-            new_meta.append((s + 1, 2 * levels - 1 - lev, b))
-        meta = new_meta
-        levels *= 2
-        g = product.graph.with_labels([_format_label(m) for m in meta])
-        product = ProductGraph(g, product.factor_dims)
-    assert product is not None
-    return product
+            rg = RootedGraph(g, u)
+        product = hierarchical_product(rg, path_graph(2))
+        # Vertex x becomes 2x (its bottom copy, unchanged) and 2x + 1 (its top copy).
+        top = [(s + 1, 2 ** (s + 1) - 1 - lev, b) for _, lev, b in meta]
+        meta = [m for pair in zip(meta, top) for m in pair]
+        g = product.graph
+    labels = [f"({st},{lev},{b})" for st, lev, b in meta]
+    return ProductGraph(g.with_labels(labels), product.factor_dims)
 
 
 def nanotube(p: int, q: int, roots=None) -> ProductGraph:
@@ -105,70 +85,46 @@ def nanotube(p: int, q: int, roots=None) -> ProductGraph:
     Stage 0 is C_{2p} rooted at alternate vertices; each of the q stages
     doubles via a product with P_2.
     """
-    if p < 2:
-        raise GraphError(f"p must be >= 2, got {p}")
+    rg = cycle_with_even_roots(p)
     if q < 1:
         raise GraphError(f"q must be >= 1, got {q}")
-    rg = cycle_with_even_roots(p)
-    product = _doubling_chain(rg.graph, rg.roots, q, roots)
+    product = _doubling_chain(rg, q, roots)
     if roots is None:
-        _check_nanotube(product.graph, p, q)
+        g = product.graph
+        degs = sorted(g.degree(v) for v in range(g.n))
+        if degs != [2] * (2 * p) + [3] * (g.n - 2 * p):
+            raise GraphError("nanotube self-check: degree sequence mismatch")
+        expected_girth = 6 if p >= 3 else 4
+        if girth(g) != expected_girth:
+            raise GraphError(f"nanotube self-check: girth != {expected_girth}")
     return product
-
-
-def _check_nanotube(g: Graph, p: int, q: int) -> None:
-    expected_n = 2 ** (q + 1) * p
-    if g.n != expected_n:
-        raise GraphError(f"nanotube self-check: {g.n} vertices, expected {expected_n}")
-    degs = sorted(g.degree(v) for v in range(g.n))
-    if degs != [2] * (2 * p) + [3] * (g.n - 2 * p):
-        raise GraphError("nanotube self-check: degree sequence mismatch")
-    expected_girth = 6 if p >= 3 else 4
-    if girth(g) != expected_girth:
-        raise GraphError(f"nanotube self-check: girth != {expected_girth}")
 
 
 def polyhex_row(p: int) -> ProductGraph:
     """One-row polyhex strip: even-rooted P_{2p+3} times P_2."""
-    rg = path_with_even_roots(p)
-    product = _doubling_chain(rg.graph, rg.roots, 1, None)
-    n, m = product.graph.n, product.graph.num_edges
-    if n != 2 * (2 * p + 3) or m != 2 * (2 * p + 2) + p + 1:
-        raise GraphError(f"polyhex_row self-check: got {n} vertices, {m} edges")
+    product = _doubling_chain(path_with_even_roots(p), 1, None)
+    if product.graph.num_edges != 2 * (2 * p + 2) + p + 1:
+        raise GraphError(f"polyhex_row self-check: got {product.graph.num_edges} edges")
     return product
 
 
 def _stack_stage_count(levels: int) -> int:
-    stages = 1
-    while 2**stages - 1 < levels:
-        stages += 1
-    if 2**stages - 1 != levels:
+    if not (levels >= 1 and not levels & (levels + 1)):
         raise GraphError(f"levels must be of the form 2^j - 1, got {levels}")
-    return stages
+    return levels.bit_length()
 
 
 def polyhex_stack(p: int, levels: int, roots=None) -> ProductGraph:
     """Polyhex lattice with the given number of hexagonal rows (2^j - 1)."""
-    rg = path_with_even_roots(p)
-    stages = _stack_stage_count(levels)
-    product = _doubling_chain(rg.graph, rg.roots, stages, roots)
-    expected_n = 2**stages * (2 * p + 3)
-    if roots is None and product.graph.n != expected_n:
-        raise GraphError(f"polyhex_stack self-check: {product.graph.n} != {expected_n}")
-    return product
+    return _doubling_chain(path_with_even_roots(p), _stack_stage_count(levels), roots)
 
 
 def armchair(p: int, levels: int = 3, roots=None) -> ProductGraph:
     """Armchair tube: a polyhex stack with one more rim doubling."""
-    rg = path_with_even_roots(p)
-    stages = _stack_stage_count(levels) + 1
-    product = _doubling_chain(rg.graph, rg.roots, stages, roots)
-    if roots is None:
-        expected_n = 2**stages * (2 * p + 3)
-        if product.graph.n != expected_n:
-            raise GraphError(f"armchair self-check: {product.graph.n} != {expected_n}")
-        if any(product.graph.degree(v) > 3 for v in range(product.graph.n)):
-            raise GraphError("armchair self-check: degree above 3")
+    product = _doubling_chain(path_with_even_roots(p), _stack_stage_count(levels) + 1, roots)
+    g = product.graph
+    if roots is None and any(g.degree(v) > 3 for v in range(g.n)):
+        raise GraphError("armchair self-check: degree above 3")
     return product
 
 

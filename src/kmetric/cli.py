@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from . import bounds as bnd
 from . import chemgen
@@ -187,20 +187,18 @@ def cmd_product(args) -> int:
     return 0
 
 
+# kmetric gen's families.  Each builder is looked up on chemgen when it is
+# called, so a wrapper put in place of the module attribute is what runs.
+FAMILIES = {
+    "nanotube": lambda a: chemgen.nanotube(a.p, a.q),
+    "polyhex": lambda a: chemgen.polyhex_row(a.p),
+    "polyhex-stack": lambda a: chemgen.polyhex_stack(a.p, a.levels),
+    "armchair": lambda a: chemgen.armchair(a.p, a.levels),
+}
+
+
 def cmd_gen(args) -> int:
-    if args.family == "nanotube":
-        g = chemgen.nanotube(args.p, args.q).graph
-    elif args.family == "polyhex":
-        g = chemgen.polyhex_row(args.p).graph
-    elif args.family == "polyhex-stack":
-        g = chemgen.polyhex_stack(args.p, args.levels).graph
-    elif args.family == "armchair":
-        g = chemgen.armchair(args.p, args.levels).graph
-    else:  # bridge
-        if args.graph is None:
-            raise CliError("bridge family needs --graph", EXIT_INVALID)
-        g = chemgen.bridge_path_uniform(_load_graph(args.graph), args.root, args.d)
-    _emit_graph(args, g)
+    _emit_graph(args, FAMILIES[args.family](args).graph)
     return 0
 
 
@@ -292,6 +290,7 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmetric",
@@ -334,13 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prod.set_defaults(func=cmd_product)
 
     p_gen = sub.add_parser("gen", help="generate a chemical graph family member")
-    p_gen.add_argument("family", choices=["nanotube", "polyhex", "polyhex-stack", "armchair", "bridge"])
+    p_gen.add_argument("family", choices=list(FAMILIES))
     p_gen.add_argument("--p", type=int, default=2)
     p_gen.add_argument("--q", type=int, default=1, help="nanotube doubling stages")
     p_gen.add_argument("--levels", type=int, default=3, help="polyhex-stack/armchair rows (2^j - 1)")
-    p_gen.add_argument("--graph", default=None, help="base graph file (bridge)")
-    p_gen.add_argument("--root", type=int, default=0, help="bridge root vertex")
-    p_gen.add_argument("--d", type=int, default=2, help="bridge copy count")
     p_gen.add_argument("--dot", action="store_true")
     p_gen.add_argument("-o", "--output", default="-")
     p_gen.set_defaults(func=cmd_gen)

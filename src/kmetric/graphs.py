@@ -125,28 +125,13 @@ def build_graph(
             raise SelfLoopError(f"self-loop at vertex {u}")
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    _check_connected(n, adjacency)
-    g = Graph(n, adjacency)
+    g = Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
+    unreached = bfs_distances(g, 0).count(-1)
+    if unreached:
+        raise DisconnectedError(f"graph has {n} vertices but BFS from 0 reaches {n - unreached}")
     if labels is not None:
         g = g.with_labels(labels)
     return g
-
-
-def _check_connected(n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    if count != n:
-        raise DisconnectedError(f"graph has {n} vertices but BFS from 0 reaches {count}")
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

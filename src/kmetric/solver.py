@@ -324,7 +324,10 @@ def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], 
     """Deduplicated pairs lying on a common distance sphere around a root.
 
     A sphere is the set of vertices at one exact distance >= 1 from a root.
+    ``dm`` must be the distance matrix of ``rg.graph``; one of another
+    vertex count raises ValueError.
     """
+    dm = _distances_of(rg.graph, dm)
     pairs: set[tuple[int, int]] = set()
     for u in rg.roots:
         row = dm.d[u]

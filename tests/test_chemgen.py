@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kmetric.chemgen import (
@@ -10,6 +12,7 @@ from kmetric.chemgen import (
     polyhex_row,
     polyhex_stack,
 )
+from kmetric.fileio import graph_to_text
 from kmetric.graphs import GraphError, all_pairs_distances, cycle_graph, girth, path_graph
 from kmetric.products import RootedGraph, hierarchical_product
 from kmetric.solver import dim_k, dim_k_rooted
@@ -141,6 +144,26 @@ class TestArmchair:
             g = prod.graph
         override = armchair(2, roots=stages).graph
         assert override.edges() == default.edges()
+
+
+STACK_GRID = [(p, levels) for p in range(1, 5) for levels in (1, 3, 7)]
+
+
+@pytest.mark.parametrize("family, grid, digest", [
+    (nanotube, [(p, q) for p in range(2, 7) for q in range(1, 4)],
+     "aa5ecee6875adf83850801ba10bc440b646aa9149548aa103e7492b3b94dcadd"),
+    (polyhex_row, [(p,) for p in range(1, 8)],
+     "f4237f9b29ca66cf2ca0bb3cc25790ee7292da2a4ce871b22457920d517b9bc5"),
+    (polyhex_stack, STACK_GRID,
+     "abf3b4743f6d02ef402330a4706d739d6cea1a7a8bdd56bbe562d727850e85b2"),
+    (armchair, STACK_GRID + [(7, 3), (11, 3)],
+     "0d59ca825e1d884d5eb2e59579a1daad0baa64d31dca093e3f675026dde7c8e7"),
+], ids=["nanotube", "polyhex_row", "polyhex_stack", "armchair"])
+def test_family_bytes_pinned(family, grid, digest):
+    # Vertex numbering, edges and (stage, level, base) labels, as text: a
+    # relabelling or renumbering that keeps every count changes the digest.
+    text = "".join(graph_to_text(family(*args).graph) for args in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestExplicitRoots:

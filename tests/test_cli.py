@@ -210,9 +210,19 @@ class TestGenCommand:
         assert main(["gen", "armchair", "--p", "2"]) == 0
         assert graph_from_text(capsys.readouterr().out).n == 56
 
-    def test_gen_bridge(self, c4_file, capsys):
-        assert main(["gen", "bridge", "--graph", c4_file, "--root", "0", "--d", "3"]) == 0
-        assert graph_from_text(capsys.readouterr().out).n == 12
+    def test_families_call_the_chemgen_attribute(self, monkeypatch, capsys):
+        # A wrapper put on the module attribute after import is what gen runs.
+        calls = []
+        original = cli.chemgen.nanotube
+
+        def wrapped(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli.chemgen, "nanotube", wrapped)
+        assert main(["gen", "nanotube", "--p", "3", "--q", "2"]) == 0
+        assert calls == [(3, 2)]
+        assert graph_from_text(capsys.readouterr().out).n == 24
 
     def test_bad_params(self, capsys):
         assert main(["gen", "nanotube", "--p", "1", "--q", "1"]) == 3
@@ -257,7 +267,6 @@ class TestBoundCommand:
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen", "bridge"],
     ["bound", "t1", "--k", "1"],
     ["bound", "t2", "--k", "1"],
     ["bound", "splice", "--k", "1"],
@@ -282,7 +291,6 @@ def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
     ["product", "link", "{c4}", "{c4}", "-b", "9"],
     ["product", "bridge", "{c4}", "--root", "9"],
     ["product", "bridge", "{c4}", "--d", "0"],
-    ["gen", "bridge", "--graph", "{c4}", "--root", "9"],
     ["dim", "{c4}", "--k", "1", "--rooted", ","],
     ["gen", "polyhex", "--p", "2", "-o", "{missing}/x"],
     ["product", "bridge", "{c4}", "-o", "{missing}/x"],

@@ -248,6 +248,13 @@ class TestBuildInstanceRooted:
         rg = RootedGraph(path_graph(3), (0,))
         with pytest.raises(ValueError, match="distance matrix has 6 vertices, the graph has 3"):
             build_instance_rooted(rg, all_pairs_distances(cycle_graph(6)), 1)
+        # sphere_pairs used to answer () for C_4 rooted at 0 with P_6's
+        # matrix, and to raise IndexError for a root past a smaller matrix.
+        c4 = RootedGraph(cycle_graph(4), (0,))
+        with pytest.raises(ValueError, match="distance matrix has 6 vertices, the graph has 4"):
+            sphere_pairs(c4, all_pairs_distances(path_graph(6)))
+        with pytest.raises(ValueError, match="distance matrix has 3 vertices, the graph has 4"):
+            sphere_pairs(RootedGraph(cycle_graph(4), (3,)), all_pairs_distances(path_graph(3)))
 
 
 class TestSolveExact:
