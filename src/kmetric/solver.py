@@ -26,8 +26,9 @@ The rows of a family depend on the distances alone, not on k, and so does
 the dominance prune: a row that is a superset of another is implied at
 every demand.  A ``_PairModel`` holds all of this: the rows, their
 smallest size and, built on the first solve that searches, the pruned
-rows and their columns (per vertex, the bitset of the kept rows holding
-it).  Each matrix builds each family's model once, in
+rows, their columns (per vertex, the bitset of the kept rows holding it)
+and the dominated columns (per vertex u, the other vertices whose columns
+are subsets of u's).  Each matrix builds each family's model once, in
 ``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or by the
 root set, and an instance is that model and a demand.  ``max_k`` is the
 smallest row size, an instance is infeasible exactly when its demand
@@ -36,16 +37,29 @@ rows and columns.
 
 One depth-first kernel does all the search and takes its branching rule as
 an argument: max-gain (the vertex in the most deficient rows) builds the
-greedy incumbent and proves the optimum, then lowest-index finds the
-lexicographically smallest basis of that size.  The kernel keeps the rows
-as bitsets per deficit level, ``level[d]`` holding the rows that still lack
-d of their demand, so an include is k mask operations.  An exclude checks
-only the deficient rows of the excluded vertex: those are the only rows it
-can leave uncompletable from the free vertices, and an uncompletable node
-is left at once.  Before each include the kernel pushes the levels and the
-free vertices onto an explicit stack, and backtracking restores them whole,
-so no move needs an inverse, and the search depth, which can reach the
-number of vertices, does not depend on Python's recursion limit.
+greedy incumbent, tightest-row (the lowest free vertex of the deficient
+row with the fewest free members to spare, the "fail-first" rule of
+Haralick and Elliott, 1980) proves the optimum, then lowest-index finds
+the lexicographically smallest basis of that size.  The kernel keeps the
+rows as bitsets per deficit level, ``level[d]`` holding the rows that
+still lack d of their demand, so an include is k mask operations.  An
+exclude checks only the deficient rows of the excluded vertex: those are
+the only rows it can leave uncompletable from the free vertices, and an
+uncompletable node is left at once.  Before each include the kernel
+pushes the levels and the free vertices onto an explicit stack, and
+backtracking restores them whole, so no move needs an inverse, and the
+search depth, which can reach the number of vertices, does not depend on
+Python's recursion limit.
+
+Backtracking into "exclude u" also excludes every free vertex w that u
+dominates (Beasley's column dominance, EJOR 1987).  A cover holding w but
+not u stays a cover of the same size with w swapped for u, and that cover
+lies in the include-u subtree, already searched under an incumbent no
+smaller than the current one; so no cover smaller than the incumbent is
+lost, and in phase 2, which only backtracks past u when the include-u
+subtree held no optimal cover, the lexicographically smallest optimal
+cover is still met first.  The rows of w are rows of u, so the check of
+u's deficient rows covers the excluded w too.
 
 A node is cut by two lower bounds on the vertices it still needs.  The
 largest deficit of a single row, the highest non-empty level, is the cheap
@@ -240,8 +254,8 @@ class _PairModel:
     ``min_size`` is the smallest row size, INFINITE when there are no rows,
     so the family admits demand k exactly when ``min_size >= k``.
     ``pruned()`` gives what the search reads, none of which depends on k
-    either: the dominance-pruned rows, the dropped count and the columns
-    of the kept rows, built on its first call.
+    either: the dominance-pruned rows, the dropped count, the columns of
+    the kept rows and the dominated columns, built on its first call.
     """
 
     __slots__ = ("n", "masks", "min_size", "_pruned")
@@ -252,10 +266,11 @@ class _PairModel:
         self.min_size = min(map(int.bit_count, masks), default=INFINITE)
         self._pruned = None
 
-    def pruned(self) -> tuple[tuple[int, ...], int, list[int]]:
+    def pruned(self) -> tuple[tuple[int, ...], int, list[int], list[int]]:
         if self._pruned is None:
             kept, dropped = _prune_dominated(self.masks)
-            self._pruned = kept, dropped, _columns(kept, self.n)
+            col_of = _columns(kept, self.n)
+            self._pruned = kept, dropped, col_of, _dominated(col_of)
         return self._pruned
 
 
@@ -376,14 +391,24 @@ def _columns(masks: Sequence[int], n: int) -> list[int]:
     return [int("".join(col), 2) for col in zip(*spelled)][::-1] or [0] * n
 
 
+def _dominated(col_of: Sequence[int]) -> list[int]:
+    """Per vertex u, the bitset of the other vertices w whose columns are
+    subsets of u's: every kept row holding w holds u.  Equal columns count."""
+    return [sum(1 << w for w, other in enumerate(col_of) if other | col == col) ^ 1 << u
+            for u, col in enumerate(col_of)]
+
+
 class _Search:
     """Depth-first branch-and-bound over vertex inclusion, updated in place.
 
     One kernel, ``run``, serves both solve phases; they differ only in the
-    branching rule passed in.  ``max_gain`` picks the free vertex lying in
-    the most deficient rows (smallest index on ties) and drives phase 1 and
-    the greedy incumbent.  ``lowest_index`` picks the smallest free vertex
-    of some deficient row and drives phase 2.
+    branching rule passed in.  ``tightest`` picks the lowest free vertex of
+    the deficient row of least slack ``|row & free| - deficit`` (ties to
+    the higher deficit, then the lower row), which the node's
+    ``packing_bound`` recorded, and drives phase 1.  ``lowest_index`` picks
+    the smallest free vertex of some deficient row and drives phase 2.
+    ``max_gain`` picks the free vertex lying in the most deficient rows
+    (smallest index on ties) and drives the greedy incumbent.
 
     The state of the current node is one row bitset per level and the free
     vertices:
@@ -400,15 +425,18 @@ class _Search:
     is feasible exactly when its last exclude left every deficient row of
     that vertex with at least its deficit in free vertices, which
     ``_exclude`` reports; ``run`` backtracks from an infeasible node at
-    once.  No move is undone: ``run`` saves the state before each include
-    on an explicit stack and restores it whole when it backtracks past
-    that include, and the stack, not recursion, holds the path, so the
-    depth (up to n) is not bounded by Python's recursion limit.
+    once.  ``dominated[u]`` holds the vertices whose rows are all rows of
+    u, so masking them out of ``free`` before ``_exclude(u)`` lowers only
+    the free counts that check reads.  No move is undone: ``run`` saves
+    the state before each include on an explicit stack and restores it
+    whole when it backtracks past that include, and the stack, not
+    recursion, holds the path, so the depth (up to n) is not bounded by
+    Python's recursion limit.
     """
 
     def __init__(self, model: _PairModel, k: int):
         self.k = k
-        self.masks, self.dropped, self.col_of = model.pruned()
+        self.masks, self.dropped, self.col_of, self.dominated = model.pruned()
         self.free = (1 << model.n) - 1
         self.all_rows = (1 << len(self.masks)) - 1
         self.level = [0] * (k + 1)
@@ -448,21 +476,39 @@ class _Search:
         Rows are taken by falling deficit, by index within a level; a row
         adds its deficit minus its members already used by the rows taken
         before it, when that is positive, and its free members then count
-        as used.  Stops once the bound reaches ``room``.
+        as used.  Stops once the bound reaches ``room``.  A walk that does
+        not stop early also records, for ``tightest``, the free members of
+        the row of least slack ``|row & free| - deficit``, the first such
+        row in the walk's order.
         """
         masks, free = self.masks, self.free
         bound = 0
         used = 0
+        least = free.bit_count()  # above the slack of any deficient row
         for d in range(self.k, 0, -1):
             for r in _bits(self.level[d]):
                 m = masks[r]
+                rest = m & free
+                slack = rest.bit_count() - d
+                if slack < least:
+                    least, tight = slack, rest
                 gain = d - (m & used).bit_count()
                 if gain > 0:
                     bound += gain
                     if bound >= room:
                         return bound
-                    used |= m & free
+                    used |= rest
+        self.tight = tight
         return bound
+
+    def tightest(self) -> int:
+        """The lowest free vertex of the tightest deficient row.
+
+        The row is the one the last ``packing_bound`` recorded, which at a
+        node that branches is this node's: the walk did not stop early.
+        """
+        tight = self.tight
+        return (tight & -tight).bit_length() - 1
 
     def max_gain(self) -> int:
         deficient, col_of = self.all_rows ^ self.level[0], self.col_of
@@ -499,8 +545,10 @@ class _Search:
         smallest optimal cover first.  ``stack`` holds, per include on the
         current path, the vertex and the ``level`` and ``free`` it was made
         from; its length is the size of the path's cover.  Backtracking
-        restores the deepest entry's state and excludes its vertex, and the
-        root state is restored once at the end.
+        restores the deepest entry's state and excludes its vertex u
+        together with the free vertices u dominates: any cover that holds
+        one of them but not u has a swap of the same size in the include-u
+        subtree just left.  The root state is restored once at the end.
         """
         root = self.level[:], self.free
         stack: list[tuple[int, list[int], int]] = []
@@ -522,7 +570,8 @@ class _Search:
                     continue
             if not stack:
                 break
-            v, self.level, self.free = stack.pop()
+            v, self.level, free = stack.pop()
+            self.free = free & ~self.dominated[v]
             feasible = self._exclude(v)
         self.level, self.free = root
 
@@ -548,9 +597,12 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     Infeasibility (a row smaller than the demand) yields value INFINITE; an
     empty row set yields value 0.  Otherwise a two-phase branch-and-bound
     runs: the first phase proves the optimal value starting from a greedy
-    incumbent, cutting nodes with the largest row deficit and the exact
-    row-packing (integer Lagrangian) bound; the second extracts the
-    lexicographically smallest basis of that value under the same cuts.
+    incumbent, branching on the tightest deficient row and cutting nodes
+    with the largest row deficit and the exact row-packing (integer
+    Lagrangian) bound; the second extracts the lexicographically smallest
+    basis of that value under the same cuts, branching on the lowest
+    index.  In both, excluding a vertex also excludes the free vertices it
+    dominates.
     """
     k, masks = inst.demand, inst.masks
     if k == 0 or not masks:
@@ -559,7 +611,7 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
     search = _Search(inst.model, k)
     search.greedy()
-    search.run(search.max_gain, False)
+    search.run(search.tightest, False)
 
     # Phase 2: an incumbent of optimum + 1 lets only covers of the optimal
     # size through.  Ascending-index branching with the include branch first

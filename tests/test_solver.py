@@ -38,17 +38,28 @@ from kmetric.solver import (
 from kmetric.catalog import connected_graphs, random_connected_graph
 from kmetric.chemgen import armchair, nanotube, polyhex_row
 
-# F_{4,2}, F_{5,2} and the armchair tube p = 7 (n = 32..136): family
-# instances far beyond the exhaustive oracle.
+# F_{4,2}, F_{4,3}, F_{5,2}, F_{6,2} and the armchair tubes p = 3 and 7
+# (n = 32..136): family instances far beyond the exhaustive oracle.
 FAMILY_GRAPHS = {
     "F42": lambda: nanotube(4, 2).graph,
+    "F43": lambda: nanotube(4, 3).graph,
     "F52": lambda: nanotube(5, 2).graph,
+    "F62": lambda: nanotube(6, 2).graph,
+    "armchair3": lambda: armchair(3).graph,
     "armchair7": lambda: armchair(7).graph,
 }
 FAMILY_DIMS = {
     ("F42", 4): 8, ("F42", 5): 12, ("F42", 6): 14,
-    ("F52", 2): 5, ("armchair7", 1): 2,
+    ("F43", 1): 5, ("F43", 2): 8, ("F52", 2): 5, ("F62", 3): 6,
+    ("armchair3", 2): 4, ("armchair7", 1): 2,
 }
+
+
+def _old_search(monkeypatch):
+    """Make phase 1 branch on the max-gain vertex, as it did before it took
+    the tightest row, and leave every dominated-column list empty."""
+    monkeypatch.setattr(_Search, "tightest", _Search.max_gain)
+    monkeypatch.setattr(solver, "_dominated", lambda col_of: [0] * len(col_of))
 
 
 class TestRepresentation:
@@ -284,11 +295,18 @@ class TestSolveExact:
         res = solve_exact(MulticoverInstance.from_masks(3, (0b011,), 0))
         assert res.value == 0
 
-    # Node counts with every cut, per instance.  The test ids carry the
-    # count of the search with the row-packing cut switched off, which must
-    # stay the max-deficit search: the cut is the only change of order.
-    F41_NODES = {2: 72, 3: 182, 4: 470, 5: 151}
+    # Node counts of the kernel, per instance.  OLD_* are the counts of the
+    # search before phase 1 branched on the tightest row and an exclude
+    # dropped the vertices its vertex dominates; the test ids carry the
+    # count of that search with the row-packing cut switched off too, which
+    # must stay the max-deficit search.  Each change moves only the order.
+    F41_NODES = {2: 58, 3: 112, 4: 226, 5: 93}
+    F41_OLD_NODES = {2: 72, 3: 182, 4: 470, 5: 151}
     POLYHEX_NODES = {
+        (2, 2): 42, (2, 3): 75, (2, 4): 57, (2, 5): 76,
+        (3, 2): 50, (3, 3): 247, (3, 4): 123, (3, 5): 247,
+    }
+    POLYHEX_OLD_NODES = {
         (2, 2): 80, (2, 3): 73, (2, 4): 89, (2, 5): 86,
         (3, 2): 104, (3, 3): 473, (3, 4): 171, (3, 5): 693,
     }
@@ -296,11 +314,15 @@ class TestSolveExact:
     @pytest.mark.parametrize("k, nodes", [(2, 242), (3, 1214), (4, 3438), (5, 1637)])
     def test_f41_search_stats_pinned(self, k, nodes, monkeypatch):
         # The node count fixes the search order: the greedy incumbent, both
-        # branching rules, the cuts and the prune all change it, and --json
-        # reports it.
+        # branching rules, the cuts, the prune and the dominated columns
+        # all change it, and --json reports it.
         g = nanotube(4, 1).graph
         res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.F41_NODES[k], rows=42, pruned=78)
+        _old_search(monkeypatch)
+        old = dim_k(g, k)
+        assert (old.value, old.basis) == (res.value, res.basis)
+        assert old.stats == SolveStats(nodes=self.F41_OLD_NODES[k], rows=42, pruned=78)
         monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
         uncut = dim_k(g, k)
         assert (uncut.value, uncut.basis) == (res.value, res.basis)
@@ -315,25 +337,44 @@ class TestSolveExact:
         g = polyhex_row(p).graph
         res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.POLYHEX_NODES[p, k], rows=rows, pruned=pruned)
+        _old_search(monkeypatch)
+        old = dim_k(g, k)
+        assert (old.value, old.basis) == (res.value, res.basis)
+        assert old.stats == SolveStats(nodes=self.POLYHEX_OLD_NODES[p, k], rows=rows, pruned=pruned)
         monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
         uncut = dim_k(g, k)
         assert (uncut.value, uncut.basis) == (res.value, res.basis)
         assert uncut.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
 
-    def test_armchair11_search_stats_pinned(self):
+    def test_armchair11_search_stats_pinned(self, monkeypatch):
         # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
-        res = dim_k(armchair(11).graph, 1)
+        g = armchair(11).graph
+        res = dim_k(g, 1)
         assert res.value == 2 and res.basis == (0, 192)
-        assert res.stats == SolveStats(nodes=438, rows=666, pruned=19234)
+        assert res.stats == SolveStats(nodes=448, rows=666, pruned=19234)
+        _old_search(monkeypatch)
+        old = dim_k(g, 1)
+        assert (old.value, old.basis) == (res.value, res.basis)
+        assert old.stats == SolveStats(nodes=438, rows=666, pruned=19234)
 
-    # Bases and search stats of the family solves: search trees over 136 to
-    # 414 kept rows.
+    # Bases and search stats of the family solves: search trees over 38 to
+    # 444 kept rows.
     FAMILY_SOLVES = {
-        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(10660, 136, 360)),
-        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(39890, 136, 360)),
-        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(26590, 136, 360)),
-        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(8145, 305, 475)),
-        ("armchair7", 1): ((0, 128), SolveStats(356, 414, 8766)),
+        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(4330, 136, 360)),
+        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(13928, 136, 360)),
+        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(8272, 136, 360)),
+        ("F43", 1): ((0, 1, 2, 20, 21), SolveStats(673, 38, 1978)),
+        ("F43", 2): ((4, 5, 20, 21, 36, 37, 52, 53), SolveStats(84950, 38, 1978)),
+        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(3489, 305, 475)),
+        ("F62", 3): ((0, 5, 13, 16, 25, 33), SolveStats(33930, 444, 684)),
+        ("armchair3", 2): ((0, 1, 64, 65), SolveStats(190, 102, 2454)),
+        ("armchair7", 1): ((0, 128), SolveStats(320, 414, 8766)),
+    }
+    # The old search's nodes (see OLD_* above) on the solves it could do in
+    # about a second; F_{4,3} at k = 2 took it 1,244,494.
+    FAMILY_OLD_NODES = {
+        ("F42", 4): 10660, ("F42", 5): 39890, ("F42", 6): 26590,
+        ("F43", 1): 4527, ("F52", 2): 8145, ("armchair3", 2): 460, ("armchair7", 1): 356,
     }
 
     @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
@@ -345,6 +386,16 @@ class TestSolveExact:
         assert res.value == FAMILY_DIMS[name, k]
         assert (res.basis, res.stats) == self.FAMILY_SOLVES[name, k]
         assert is_k_generator(all_pairs_distances(g), res.basis, k)
+
+    @pytest.mark.parametrize("name, k", sorted(FAMILY_OLD_NODES))
+    def test_family_old_search_counts_come_back(self, name, k, monkeypatch):
+        # Max-gain branching in phase 1 and no dominated columns give back
+        # the old search's tree, and the same answer.
+        _old_search(monkeypatch)
+        res = dim_k(FAMILY_GRAPHS[name](), k)
+        basis, stats = self.FAMILY_SOLVES[name, k]
+        assert (res.value, res.basis) == (FAMILY_DIMS[name, k], basis)
+        assert res.stats == SolveStats(self.FAMILY_OLD_NODES[name, k], stats.rows, stats.pruned)
 
     def test_depth_beyond_recursion_limit(self):
         # Phase 2 excludes vertices 0..1498 one below the other before it
@@ -372,24 +423,29 @@ class TestPairModelCache:
 
     def test_every_k_on_one_matrix_matches_fresh_matrices(self, catalog):
         # Ascending and shuffled k on one matrix each: the cached rows,
-        # smallest size and pruned rows must give every k what a matrix
-        # of its own gives, stats included.
+        # smallest size, pruned rows and dominated columns must give every
+        # k what a matrix of its own gives, stats included, on the full
+        # model and on rooted models at one root and at two.
         rng = random.Random(26)
         for g in catalog:
-            rg = RootedGraph(g, (rng.randrange(g.n),))
+            roots = [(rng.randrange(g.n),)]
+            if g.n >= 2:
+                roots.append(tuple(sorted(rng.sample(range(g.n), 2))))
+            rgs = [RootedGraph(g, r) for r in roots]
             top = max_k(all_pairs_distances(g))
             ks = list(range(1, (1 if top == INFINITE else top) + 2))
-            fresh = {k: (dim_k(g, k), dim_k_rooted(rg, k)) for k in ks}
+            fresh = {k: [dim_k(g, k)] + [dim_k_rooted(rg, k) for rg in rgs] for k in ks}
             for order in (ks, rng.sample(ks, len(ks))):
                 dm = all_pairs_distances(g)
                 for k in order:
-                    assert (dim_k(g, k, dm), dim_k_rooted(rg, k, dm)) == fresh[k]
+                    assert [dim_k(g, k, dm)] + [dim_k_rooted(rg, k, dm) for rg in rgs] == fresh[k]
 
     def test_rows_built_and_pruned_once_per_family(self, monkeypatch):
-        # The rows, the pruned rows and their columns are built once per
-        # family and matrix, whatever k and in whatever order.
-        calls = {"_pair_masks": 0, "_prune_dominated": 0, "_columns": 0}
-        real = solver._pair_masks, solver._prune_dominated, solver._columns
+        # The rows, the pruned rows, their columns and the dominated
+        # columns are built once per family and matrix, whatever k and in
+        # whatever order.
+        names = ("_pair_masks", "_prune_dominated", "_columns", "_dominated")
+        calls = dict.fromkeys(names, 0)
 
         def counting(key, fn):
             def wrapped(*args):
@@ -397,8 +453,8 @@ class TestPairModelCache:
                 return fn(*args)
             return wrapped
 
-        for name, fn in zip(("_pair_masks", "_prune_dominated", "_columns"), real):
-            monkeypatch.setattr(solver, name, counting(name, fn))
+        for name in names:
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
         g = nanotube(4, 1).graph
         dm = all_pairs_distances(g)
         top = max_k(dm)
@@ -406,11 +462,11 @@ class TestPairModelCache:
             dim_k(g, k, dm)
         for k in (2, top):
             dim_k(g, k, dm)
-        assert calls == {"_pair_masks": 1, "_prune_dominated": 1, "_columns": 1}
+        assert calls == dict.fromkeys(names, 1)
         rg = RootedGraph(g, (0,))
         for k in (1, 2, 1, 3):
             dim_k_rooted(rg, k, dm)
-        assert calls == {"_pair_masks": 2, "_prune_dominated": 2, "_columns": 2}
+        assert calls == dict.fromkeys(names, 2)
 
     def test_max_k_is_smallest_distinguisher_set(self, catalog):
         rng = random.Random(28)
@@ -449,7 +505,7 @@ def test_search_state_restored_after_each_phase():
         root = _search_state(search)
         search.greedy()
         assert _search_state(search) == root
-        search.run(search.max_gain, False)
+        search.run(search.tightest, False)
         assert _search_state(search) == root
         optimum = search.best_value
         search.best_value = optimum + 1
@@ -508,6 +564,70 @@ def test_packing_bound_is_sound():
         assert search._max_def() <= bound
         assert bound <= _min_completion(masks, deficit, search.free)
         checked += 1
+
+
+def test_tightest_is_lowest_free_vertex_of_least_slack_row():
+    # Phase 1 branches on the row of least slack |row & free| - deficit,
+    # ties to the higher deficit and then the lower row, which the
+    # packing bound records when it walks every deficient row.
+    rng = random.Random(9)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(3, 12)
+        k = rng.randint(1, 3)
+        rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
+        search = _Search(_PairModel(n, tuple(sum(1 << v for v in row) for row in rows)), k)
+        for v in rng.sample(range(n), rng.randint(0, n - 1)):
+            search._include(v)
+        if not search._max_def():
+            continue
+        search.packing_bound(n + 1)
+        free, deficit = search.free, _deficits(search)
+        _, _, r = min(((m & free).bit_count() - d, -d, r)
+                      for r, (m, d) in enumerate(zip(search.masks, deficit)) if d)
+        assert search.tightest() == min(v for v in range(n) if (search.masks[r] & free) >> v & 1)
+        checked += 1
+
+
+def test_dominated_lists_hold_subset_columns():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = rng.randint(0, 8)
+        col_of = [rng.getrandbits(rows) for _ in range(rng.randint(1, 10))]
+        expected = [sum(1 << w for w, cw in enumerate(col_of) if w != u and not cw & ~cu)
+                    for u, cu in enumerate(col_of)]
+        assert solver._dominated(col_of) == expected
+
+
+def _twin_and_nested_masks(rng, k):
+    """Random rows over vertices whose columns include copies (twins) and
+    subsets (nested) of other vertices' columns, in shuffled vertex order."""
+    n_rows = rng.randint(1, 12)
+    cols = [rng.getrandbits(n_rows) for _ in range(rng.randint(3, 7))]
+    for _ in range(rng.randint(1, 12 - len(cols))):
+        col = rng.choice(cols)
+        cols.append(col if rng.random() < 0.5 else col & rng.getrandbits(n_rows))
+    rng.shuffle(cols)
+    masks = [sum(1 << v for v, col in enumerate(cols) if col >> r & 1) for r in range(n_rows)]
+    return len(cols), [m for m in masks if m.bit_count() >= k]
+
+
+def test_dominance_is_exact_on_twin_and_nested_columns():
+    # Excluding u also excludes every free vertex whose column is a subset
+    # of u's.  Value and basis must still be the oracle's, the
+    # lexicographically smallest optimum.
+    rng = random.Random(13)
+    dominating = 0
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        n, masks = _twin_and_nested_masks(rng, k)
+        if not masks:
+            continue
+        inst = MulticoverInstance.from_masks(n, masks, k)
+        res, ref = solve_exact(inst), oracle_solve(inst)
+        assert (res.value, res.basis) == (ref.value, ref.basis)
+        dominating += any(inst.model.pruned()[3])
+    assert dominating > 300
 
 
 @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
