@@ -152,8 +152,9 @@ def _emit_graph(args, g: Graph) -> None:
 
 
 def cmd_product(args) -> int:
-    if args.mode in ("hier", "splice", "link") and args.second is None:
-        raise CliError(f"{args.mode} product needs a second factor file", EXIT_INVALID)
+    if (args.second is None) != (args.mode == "bridge"):
+        needs = "takes no" if args.mode == "bridge" else "needs a"
+        raise CliError(f"{args.mode} product {needs} second factor file", EXIT_INVALID)
     if args.mode == "hier":
         if args.roots is None:
             raise CliError("hier product needs --roots", EXIT_INVALID)

@@ -35,13 +35,12 @@ smallest row size, an instance is infeasible exactly when its demand
 exceeds it, and every k solved on one matrix searches the same pruned
 rows and columns.
 
-One depth-first kernel does all the search and takes its branching rule as
-an argument: max-gain (the vertex in the most deficient rows) builds the
-greedy incumbent, tightest-row (the lowest free vertex of the deficient
-row with the fewest free members to spare, the "fail-first" rule of
-Haralick and Elliott, 1980) proves the optimum, then lowest-index finds
-the lexicographically smallest basis of that size.  The kernel keeps the
-rows as bitsets per deficit level, ``level[d]`` holding the rows that
+One depth-first kernel, ``run``, does all the search.  It branches on the
+lowest free vertex of the deficient row with the fewest free members to
+spare, the "fail-first" rule of Haralick and Elliott, 1980.  A greedy pass
+(the vertex in the most deficient rows, until every row is covered) gives
+the first incumbent, and ``run`` then proves the optimum.  The kernel keeps
+the rows as bitsets per deficit level, ``level[d]`` holding the rows that
 still lack d of their demand, so an include is k mask operations.  An
 exclude checks only the deficient rows of the excluded vertex: those are
 the only rows it can leave uncompletable from the free vertices, and an
@@ -56,20 +55,23 @@ dominates (Beasley's column dominance, EJOR 1987).  A cover holding w but
 not u stays a cover of the same size with w swapped for u, and that cover
 lies in the include-u subtree, already searched under an incumbent no
 smaller than the current one; so no cover smaller than the incumbent is
-lost, and in phase 2, which only backtracks past u when the include-u
-subtree held no optimal cover, the lexicographically smallest optimal
-cover is still met first.  The rows of w are rows of u, so the check of
-u's deficient rows covers the excluded w too.
+lost.  The rows of w are rows of u, so the check of u's deficient rows
+covers the excluded w too.
 
-A node is cut by two lower bounds on the vertices it still needs.  The
-largest deficit of a single row, the highest non-empty level, is the cheap
-one.  The row-packing bound walks the levels from k down and adds each
-row's deficit less its members already claimed by the rows taken before
-it.  That sum is the Lagrangian of the model's LP relaxation,
-sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over the free vertices v, at
-the 0/1 multiplier y of the rows that added something.  Every y >= 0 gives
-a lower bound, and this one is a sum of integers, so no rounding error can
-cut a node that holds an optimal cover.
+A node is cut by the row-packing bound on the vertices it still needs.
+It walks the levels from k down and adds each row's deficit less its
+members already claimed by the rows taken before it; its first row adds
+the largest deficit of any row.  That sum is the Lagrangian of the model's
+LP relaxation, sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over the free
+vertices v, at the 0/1 multiplier y of the rows that added something.
+Every y >= 0 gives a lower bound, and this one is a sum of integers, so no
+rounding error can cut a node that holds an optimal cover.
+
+The reported basis is the lexicographically smallest optimal cover, found
+by fixing x_0, x_1, ... in turn (``_Search.lex_smallest``): each vertex is
+included exactly when some optimal cover agrees with the fixings made so
+far and holds it, which the loop decides from a witness cover, a swap or
+one ``run`` that stops at its first cover.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -401,14 +403,12 @@ def _dominated(col_of: Sequence[int]) -> list[int]:
 class _Search:
     """Depth-first branch-and-bound over vertex inclusion, updated in place.
 
-    One kernel, ``run``, serves both solve phases; they differ only in the
-    branching rule passed in.  ``tightest`` picks the lowest free vertex of
-    the deficient row of least slack ``|row & free| - deficit`` (ties to
-    the higher deficit, then the lower row), which the node's
-    ``packing_bound`` recorded, and drives phase 1.  ``lowest_index`` picks
-    the smallest free vertex of some deficient row and drives phase 2.
-    ``max_gain`` picks the free vertex lying in the most deficient rows
-    (smallest index on ties) and drives the greedy incumbent.
+    One kernel, ``run``, does the search.  It branches on the lowest free
+    vertex of the deficient row of least slack ``|row & free| - deficit``
+    (ties to the higher deficit, then the lower row), which the node's
+    ``packing_bound`` records in ``tight``.  ``greedy`` builds the first
+    incumbent, and ``lex_smallest`` turns the optimal incumbent into the
+    lexicographically smallest optimal cover.
 
     The state of the current node is one row bitset per level and the free
     vertices:
@@ -445,13 +445,6 @@ class _Search:
         self.best_value = 0
         self.best_mask = 0
 
-    def _max_def(self) -> int:
-        level = self.level
-        d = self.k
-        while d and not level[d]:
-            d -= 1
-        return d
-
     def _include(self, v: int) -> None:
         level, col = self.level, self.col_of[v]
         self.free ^= 1 << v
@@ -476,10 +469,11 @@ class _Search:
         Rows are taken by falling deficit, by index within a level; a row
         adds its deficit minus its members already used by the rows taken
         before it, when that is positive, and its free members then count
-        as used.  Stops once the bound reaches ``room``.  A walk that does
-        not stop early also records, for ``tightest``, the free members of
-        the row of least slack ``|row & free| - deficit``, the first such
-        row in the walk's order.
+        as used.  The first row adds its whole deficit, the largest of any
+        row.  Stops once the bound reaches ``room``.  A walk that does not
+        stop early also records in ``tight`` the free members of the row of
+        least slack ``|row & free| - deficit``, the first such row in the
+        walk's order.
         """
         masks, free = self.masks, self.free
         bound = 0
@@ -501,54 +495,39 @@ class _Search:
         self.tight = tight
         return bound
 
-    def tightest(self) -> int:
-        """The lowest free vertex of the tightest deficient row.
-
-        The row is the one the last ``packing_bound`` recorded, which at a
-        node that branches is this node's: the walk did not stop early.
-        """
-        tight = self.tight
-        return (tight & -tight).bit_length() - 1
-
-    def max_gain(self) -> int:
-        deficient, col_of = self.all_rows ^ self.level[0], self.col_of
-        return max(_bits(self.free), key=lambda v: (col_of[v] & deficient).bit_count())
-
-    def lowest_index(self) -> int:
-        deficient, col_of = self.all_rows ^ self.level[0], self.col_of
-        return next(v for v in _bits(self.free) if col_of[v] & deficient)
-
     def greedy(self) -> None:
-        """Incumbent: include the max-gain vertex until no row is deficient.
+        """Incumbent: include the max-gain vertex, the free vertex in the
+        most deficient rows (smallest index on ties), until no row is
+        deficient.
 
         Each deficient row of a feasible instance keeps a free vertex, so a
         vertex of zero gain is never chosen.  The picks are the vertices the
         includes took from ``free``, and the root state is restored after.
         """
-        level, free = self.level[:], self.free
-        while self._max_def():
-            self._include(self.max_gain())
+        level, free, col_of = self.level[:], self.free, self.col_of
+        while deficient := self.all_rows ^ self.level[0]:
+            self._include(max(_bits(self.free), key=lambda v: (col_of[v] & deficient).bit_count()))
         self.best_mask = free ^ self.free
         self.best_value = self.best_mask.bit_count()
         self.level, self.free = level, free
 
-    def run(self, branch, first_only: bool) -> None:
-        """Search the whole tree from the root, include branch first.
+    def run(self, first_only: bool) -> None:
+        """Search the whole tree from the current node, include branch first.
 
-        Covers smaller than ``best_value`` replace the incumbent; with
+        Covers smaller than ``best_value`` replace the incumbent, counted
+        from this node: ``best_mask`` holds the includes below it.  With
         ``first_only`` the first such cover ends the search.  A node is cut
         when its last exclude left a row that the free vertices cannot
-        complete, or when its largest deficit or its row-packing bound
-        cannot fit under the incumbent.  Both bound cuts drop only nodes
-        that hold no cover smaller than ``best_value``, so phase 2, run
-        with the optimum plus one, still meets the lexicographically
-        smallest optimal cover first.  ``stack`` holds, per include on the
-        current path, the vertex and the ``level`` and ``free`` it was made
-        from; its length is the size of the path's cover.  Backtracking
-        restores the deepest entry's state and excludes its vertex u
-        together with the free vertices u dominates: any cover that holds
-        one of them but not u has a swap of the same size in the include-u
-        subtree just left.  The root state is restored once at the end.
+        complete, or when its row-packing bound cannot fit under the
+        incumbent; either way it holds no cover smaller than
+        ``best_value``.  A node that is not cut branches on the lowest
+        vertex of ``tight``.  ``stack`` holds, per include on the current
+        path, the vertex and the ``level`` and ``free`` it was made from;
+        its length is the size of the path's cover.  Backtracking restores
+        the deepest entry's state and excludes its vertex u together with
+        the free vertices u dominates: any cover that holds one of them but
+        not u has a swap of the same size in the include-u subtree just
+        left.  The starting node's state is restored once at the end.
         """
         root = self.level[:], self.free
         stack: list[tuple[int, list[int], int]] = []
@@ -556,15 +535,14 @@ class _Search:
         while True:
             self.nodes += 1
             if feasible:
-                max_def = self._max_def()
-                if not max_def:
+                if self.level[0] == self.all_rows:
                     if len(stack) < self.best_value:
                         self.best_value = len(stack)
                         self.best_mask = sum(1 << v for v, _, _ in stack)
                     if first_only:
                         break
-                elif max_def < (room := self.best_value - len(stack)) and self.packing_bound(room) < room:
-                    v = branch()
+                elif self.packing_bound(room := self.best_value - len(stack)) < room:
+                    v = (self.tight & -self.tight).bit_length() - 1
                     stack.append((v, self.level[:], self.free))
                     self._include(v)
                     continue
@@ -573,6 +551,63 @@ class _Search:
             v, self.level, free = stack.pop()
             self.free = free & ~self.dominated[v]
             feasible = self._exclude(v)
+        self.level, self.free = root
+
+    def lex_smallest(self) -> None:
+        """Make the optimal incumbent the lexicographically smallest optimal
+        cover, fixing x_0, x_1, ... in turn from the root.
+
+        Among covers of one size the lexicographically smallest is the one
+        that holds the lowest vertex where two differ.  So v is included
+        exactly when some optimal cover agrees with the fixings on 0..v-1
+        and holds v, and after v the fixings agree with that smallest cover
+        on 0..v.  The loop keeps a witness, an optimal cover that agrees
+        with every fixing, starting from the incumbent.  v is included when:
+
+        - v is in the witness;
+        - a free witness member w can be swapped for v: no row that the
+          witness meets exactly k times (the tight rows, kept per witness)
+          holds w but not v, and the witness minus w plus v is the new one;
+        - ``run``, from the fixings with v included and stopping at its
+          first cover, finds the rest of an optimal cover, which with the
+          fixings and v is the new witness.
+
+        Otherwise v is excluded together with the free vertices it
+        dominates: a cover agreeing with the fixings that held one of them
+        but not v would swap to one holding v.  The witness holds none of
+        them, or the swap test would have passed.  The loop stops when the
+        includes reach the optimum; they are then the witness.  The root
+        state is restored at the end.
+        """
+        root = self.level[:], self.free
+        optimum, witness, col_of = self.best_value, self.best_mask, self.col_of
+        fixed, tight = 0, None
+        for v in _bits(self.free):
+            if fixed.bit_count() == optimum:
+                break
+            bit = 1 << v
+            if not self.free & bit:
+                continue
+            level = self.level[:]
+            self._include(v)
+            if not witness & bit:
+                if tight is None:
+                    tight = sum(1 << r for r, m in enumerate(self.masks) if (m & witness).bit_count() == self.k)
+                blocked = tight & ~col_of[v]
+                swap = next((w for w in _bits(witness & self.free) if not col_of[w] & blocked), None)
+                if swap is not None:
+                    witness ^= 1 << swap | bit
+                else:
+                    self.best_value = left = optimum - fixed.bit_count()
+                    self.run(True)
+                    if self.best_value == left:
+                        self.level = level
+                        self.free &= ~self.dominated[v]
+                        continue
+                    witness = fixed | bit | self.best_mask
+                tight = None
+            fixed |= bit
+        self.best_value, self.best_mask = optimum, fixed
         self.level, self.free = root
 
 
@@ -595,14 +630,12 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     """Exact minimum of the multicover objective with a witness basis.
 
     Infeasibility (a row smaller than the demand) yields value INFINITE; an
-    empty row set yields value 0.  Otherwise a two-phase branch-and-bound
-    runs: the first phase proves the optimal value starting from a greedy
-    incumbent, branching on the tightest deficient row and cutting nodes
-    with the largest row deficit and the exact row-packing (integer
-    Lagrangian) bound; the second extracts the lexicographically smallest
-    basis of that value under the same cuts, branching on the lowest
-    index.  In both, excluding a vertex also excludes the free vertices it
-    dominates.
+    empty row set yields value 0.  Otherwise a greedy incumbent is taken,
+    and one branch-and-bound proves the optimum: it branches on the tightest
+    deficient row, cuts nodes with the exact row-packing (integer
+    Lagrangian) bound, and on each exclude also excludes the free vertices
+    the excluded vertex dominates.  The basis is then fixed vertex by
+    vertex into the lexicographically smallest optimal cover.
     """
     k, masks = inst.demand, inst.masks
     if k == 0 or not masks:
@@ -611,19 +644,11 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
         return DimResult(k, INFINITE, (), True, SolveStats(rows=len(masks)))
     search = _Search(inst.model, k)
     search.greedy()
-    search.run(search.tightest, False)
-
-    # Phase 2: an incumbent of optimum + 1 lets only covers of the optimal
-    # size through.  Ascending-index branching with the include branch first
-    # visits equal-size vertex sets in lexicographic order, so the first
-    # cover found is the lex-smallest optimal basis.
-    optimum = search.best_value
-    search.best_value = optimum + 1
-    search.run(search.lowest_index, True)
-    assert search.best_value == optimum, "phase 2 must rediscover the optimal value"
+    search.run(False)
+    search.lex_smallest()
     return DimResult(
         k,
-        optimum,
+        search.best_value,
         _mask_to_tuple(search.best_mask),
         True,
         SolveStats(nodes=search.nodes, rows=len(search.masks), pruned=search.dropped),

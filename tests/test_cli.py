@@ -57,7 +57,7 @@ class TestDimCommand:
             "infinite": False,
             "basis": [1, 3],
             "optimal": True,
-            "stats": {"nodes": 4, "rows": 1, "pruned": 2},
+            "stats": {"nodes": 2, "rows": 1, "pruned": 2},
         }
 
     def test_oracle_agreement(self, c4_file, capsys):
@@ -295,10 +295,13 @@ def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
     ["gen", "polyhex", "--p", "2", "-o", "{missing}/x"],
     ["product", "bridge", "{c4}", "-o", "{missing}/x"],
     ["maxk", "{c4}", "--log", "{missing}/l"],
+    ["product", "bridge", "{c4}", "{missing}/second"],
 ])
 def test_library_and_output_errors_are_invalid(argv, c4_file, tmp_path, capsys):
     # The range checks are the library's and an unwritable output is an
     # OSError; main turns each into exit 3 and one line, not a traceback.
+    # A second file given to bridge, which takes none, is refused the same
+    # way instead of being ignored.
     missing = tmp_path / "missing"
     assert main([a.format(c4=c4_file, missing=missing) for a in argv]) == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -55,11 +55,21 @@ FAMILY_DIMS = {
 }
 
 
-def _old_search(monkeypatch):
-    """Make phase 1 branch on the max-gain vertex, as it did before it took
-    the tightest row, and leave every dominated-column list empty."""
-    monkeypatch.setattr(_Search, "tightest", _Search.max_gain)
-    monkeypatch.setattr(solver, "_dominated", lambda col_of: [0] * len(col_of))
+def _largest_deficit(search):
+    """The demand the most deficient row still lacks."""
+    return max(d for d, rows in enumerate(search.level) if rows)
+
+
+def _max_deficit_cut(monkeypatch):
+    """Cut nodes by the largest deficit of one row instead of the row-packing
+    bound; the packing walk still runs in full to record the tightest row."""
+    packing_bound = _Search.packing_bound
+
+    def largest_deficit(self, room):
+        packing_bound(self, INFINITE)
+        return _largest_deficit(self)
+
+    monkeypatch.setattr(_Search, "packing_bound", largest_deficit)
 
 
 class TestRepresentation:
@@ -295,114 +305,87 @@ class TestSolveExact:
         res = solve_exact(MulticoverInstance.from_masks(3, (0b011,), 0))
         assert res.value == 0
 
-    # Node counts of the kernel, per instance.  OLD_* are the counts of the
-    # search before phase 1 branched on the tightest row and an exclude
-    # dropped the vertices its vertex dominates; the test ids carry the
-    # count of that search with the row-packing cut switched off too, which
-    # must stay the max-deficit search.  Each change moves only the order.
-    F41_NODES = {2: 58, 3: 112, 4: 226, 5: 93}
-    F41_OLD_NODES = {2: 72, 3: 182, 4: 470, 5: 151}
+    # Node counts of the kernel, per instance.  The test ids carry the count
+    # of the same search with the row-packing cut replaced by the largest
+    # deficit of one row, which must give the same answer.
+    F41_NODES = {2: 45, 3: 111, 4: 217, 5: 79}
     POLYHEX_NODES = {
-        (2, 2): 42, (2, 3): 75, (2, 4): 57, (2, 5): 76,
-        (3, 2): 50, (3, 3): 247, (3, 4): 123, (3, 5): 247,
-    }
-    POLYHEX_OLD_NODES = {
-        (2, 2): 80, (2, 3): 73, (2, 4): 89, (2, 5): 86,
-        (3, 2): 104, (3, 3): 473, (3, 4): 171, (3, 5): 693,
+        (2, 2): 42, (2, 3): 59, (2, 4): 39, (2, 5): 59,
+        (3, 2): 50, (3, 3): 218, (3, 4): 93, (3, 5): 242,
     }
 
-    @pytest.mark.parametrize("k, nodes", [(2, 242), (3, 1214), (4, 3438), (5, 1637)])
+    @pytest.mark.parametrize("k, nodes", [(2, 81), (3, 213), (4, 583), (5, 331)])
     def test_f41_search_stats_pinned(self, k, nodes, monkeypatch):
-        # The node count fixes the search order: the greedy incumbent, both
-        # branching rules, the cuts, the prune and the dominated columns
-        # all change it, and --json reports it.
+        # The node count fixes the search order: the greedy incumbent, the
+        # branching rule, the cut, the prune, the dominated columns and the
+        # basis loop all change it, and --json reports it.
         g = nanotube(4, 1).graph
         res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.F41_NODES[k], rows=42, pruned=78)
-        _old_search(monkeypatch)
-        old = dim_k(g, k)
-        assert (old.value, old.basis) == (res.value, res.basis)
-        assert old.stats == SolveStats(nodes=self.F41_OLD_NODES[k], rows=42, pruned=78)
-        monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
+        _max_deficit_cut(monkeypatch)
         uncut = dim_k(g, k)
         assert (uncut.value, uncut.basis) == (res.value, res.basis)
         assert uncut.stats == SolveStats(nodes=nodes, rows=42, pruned=78)
 
     @pytest.mark.parametrize("p, k, nodes", [
-        (2, 2, 220), (2, 3, 265), (2, 4, 777), (2, 5, 634),
-        (3, 2, 364), (3, 3, 1619), (3, 4, 2759), (3, 5, 6361),
+        (2, 2, 92), (2, 3, 141), (2, 4, 229), (2, 5, 327),
+        (3, 2, 138), (3, 3, 580), (3, 4, 599), (3, 5, 1008),
     ])
     def test_polyhex_search_stats_pinned(self, p, k, nodes, monkeypatch):
         rows, pruned = {2: (24, 67), 3: (33, 120)}[p]
         g = polyhex_row(p).graph
         res = dim_k(g, k)
         assert res.stats == SolveStats(nodes=self.POLYHEX_NODES[p, k], rows=rows, pruned=pruned)
-        _old_search(monkeypatch)
-        old = dim_k(g, k)
-        assert (old.value, old.basis) == (res.value, res.basis)
-        assert old.stats == SolveStats(nodes=self.POLYHEX_OLD_NODES[p, k], rows=rows, pruned=pruned)
-        monkeypatch.setattr(_Search, "packing_bound", lambda self, room: 0)
+        _max_deficit_cut(monkeypatch)
         uncut = dim_k(g, k)
         assert (uncut.value, uncut.basis) == (res.value, res.basis)
         assert uncut.stats == SolveStats(nodes=nodes, rows=rows, pruned=pruned)
 
-    def test_armchair11_search_stats_pinned(self, monkeypatch):
+    def test_armchair11_search_stats_pinned(self):
         # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
-        g = armchair(11).graph
-        res = dim_k(g, 1)
+        res = dim_k(armchair(11).graph, 1)
         assert res.value == 2 and res.basis == (0, 192)
-        assert res.stats == SolveStats(nodes=448, rows=666, pruned=19234)
-        _old_search(monkeypatch)
-        old = dim_k(g, 1)
-        assert (old.value, old.basis) == (res.value, res.basis)
-        assert old.stats == SolveStats(nodes=438, rows=666, pruned=19234)
+        assert res.stats == SolveStats(nodes=257, rows=666, pruned=19234)
 
     # Bases and search stats of the family solves: search trees over 38 to
     # 444 kept rows.
     FAMILY_SOLVES = {
-        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(4330, 136, 360)),
-        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(13928, 136, 360)),
-        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(8272, 136, 360)),
-        ("F43", 1): ((0, 1, 2, 20, 21), SolveStats(673, 38, 1978)),
-        ("F43", 2): ((4, 5, 20, 21, 36, 37, 52, 53), SolveStats(84950, 38, 1978)),
-        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(3489, 305, 475)),
-        ("F62", 3): ((0, 5, 13, 16, 25, 33), SolveStats(33930, 444, 684)),
-        ("armchair3", 2): ((0, 1, 64, 65), SolveStats(190, 102, 2454)),
-        ("armchair7", 1): ((0, 128), SolveStats(320, 414, 8766)),
-    }
-    # The old search's nodes (see OLD_* above) on the solves it could do in
-    # about a second; F_{4,3} at k = 2 took it 1,244,494.
-    FAMILY_OLD_NODES = {
-        ("F42", 4): 10660, ("F42", 5): 39890, ("F42", 6): 26590,
-        ("F43", 1): 4527, ("F52", 2): 8145, ("armchair3", 2): 460, ("armchair7", 1): 356,
+        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(2377, 136, 360)),
+        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(13926, 136, 360)),
+        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(8107, 136, 360)),
+        ("F43", 1): ((0, 1, 2, 20, 21), SolveStats(659, 38, 1978)),
+        ("F43", 2): ((4, 5, 20, 21, 36, 37, 52, 53), SolveStats(38508, 38, 1978)),
+        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(3487, 305, 475)),
+        ("F62", 3): ((0, 5, 13, 16, 25, 33), SolveStats(28751, 444, 684)),
+        ("armchair3", 2): ((0, 1, 64, 65), SolveStats(131, 102, 2454)),
+        ("armchair7", 1): ((0, 128), SolveStats(193, 414, 8766)),
     }
 
     @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
     def test_family_dims_pinned(self, name, k):
         # With the max-deficit cut alone F_{4,2} at k = 5 and 6 needs
-        # millions of nodes; every value is also checked by HiGHS below.
+        # millions of nodes; every value and basis is also checked by HiGHS
+        # below.
         g = FAMILY_GRAPHS[name]()
         res = dim_k(g, k)
         assert res.value == FAMILY_DIMS[name, k]
         assert (res.basis, res.stats) == self.FAMILY_SOLVES[name, k]
         assert is_k_generator(all_pairs_distances(g), res.basis, k)
 
-    @pytest.mark.parametrize("name, k", sorted(FAMILY_OLD_NODES))
-    def test_family_old_search_counts_come_back(self, name, k, monkeypatch):
-        # Max-gain branching in phase 1 and no dominated columns give back
-        # the old search's tree, and the same answer.
-        _old_search(monkeypatch)
-        res = dim_k(FAMILY_GRAPHS[name](), k)
-        basis, stats = self.FAMILY_SOLVES[name, k]
-        assert (res.value, res.basis) == (FAMILY_DIMS[name, k], basis)
-        assert res.stats == SolveStats(self.FAMILY_OLD_NODES[name, k], stats.rows, stats.pruned)
-
     def test_depth_beyond_recursion_limit(self):
-        # Phase 2 excludes vertices 0..1498 one below the other before it
-        # reaches the cover {1499}: a search path 1,500 deep.
+        # Every row is {i, 1499}: the greedy takes {1499}, which is optimal
+        # and, as no row avoids it, the basis.  From an incumbent of n + 1
+        # the tightest-row dive includes 0, 1, ..., 1498 one below the
+        # other before it reaches a cover: a search path 1,499 deep.
+        n = 1500
         masks = [1 << i | 1 << 1499 for i in range(1499)]
-        res = solve_exact(MulticoverInstance.from_masks(1500, masks, 1))
+        inst = MulticoverInstance.from_masks(n, masks, 1)
+        res = solve_exact(inst)
         assert res.value == 1 and res.basis == (1499,)
+        search = _Search(inst.model, 1)
+        search.best_value = n + 1
+        search.run(True)
+        assert search.best_value == 1499 and search.best_mask == (1 << 1499) - 1
 
 
 class TestPairModelCache:
@@ -494,7 +477,7 @@ def _search_state(search):
 
 def test_search_state_restored_after_each_phase():
     # The kernel restores its saved root state after the greedy incumbent,
-    # after phase 1 and after the early-stopping phase 2: the free vertices
+    # after the proof search and after the basis loop: the free vertices
     # and every row's level are back at their values at the root.
     rng = random.Random(26)
     for _ in range(200):
@@ -505,13 +488,12 @@ def test_search_state_restored_after_each_phase():
         root = _search_state(search)
         search.greedy()
         assert _search_state(search) == root
-        search.run(search.tightest, False)
+        search.run(False)
         assert _search_state(search) == root
         optimum = search.best_value
-        search.best_value = optimum + 1
-        search.run(search.lowest_index, True)
+        search.lex_smallest()
         assert _search_state(search) == root
-        assert search.best_value == optimum
+        assert search.best_value == search.best_mask.bit_count() == optimum
 
 
 def _deficits(search):
@@ -545,7 +527,7 @@ def test_packing_bound_is_sound():
         search = _Search(model, k)
         masks = search.masks
         root = search.packing_bound(n + 1)
-        assert search._max_def() <= root <= oracle_solve(MulticoverInstance(model, k)).value
+        assert _largest_deficit(search) <= root <= oracle_solve(MulticoverInstance(model, k)).value
         moved = rng.sample(range(n), rng.randint(1, n - 1))
         feasible = True
         for v in moved:
@@ -558,18 +540,19 @@ def test_packing_bound_is_sound():
         # An include never makes a row uncompletable, and a row an exclude
         # made uncompletable stays so: the excludes' answers are exact.
         assert feasible == all((m & search.free).bit_count() >= d for m, d in zip(masks, deficit))
-        if not feasible or not search._max_def():
+        if not feasible or not _largest_deficit(search):
             continue
         bound = search.packing_bound(n + 1)
-        assert search._max_def() <= bound
+        assert _largest_deficit(search) <= bound
         assert bound <= _min_completion(masks, deficit, search.free)
         checked += 1
 
 
 def test_tightest_is_lowest_free_vertex_of_least_slack_row():
-    # Phase 1 branches on the row of least slack |row & free| - deficit,
-    # ties to the higher deficit and then the lower row, which the
-    # packing bound records when it walks every deficient row.
+    # The search branches on the lowest free vertex of the row of least
+    # slack |row & free| - deficit, ties to the higher deficit and then the
+    # lower row, whose free members the packing bound records in ``tight``
+    # when it walks every deficient row.
     rng = random.Random(9)
     checked = 0
     while checked < 200:
@@ -579,13 +562,13 @@ def test_tightest_is_lowest_free_vertex_of_least_slack_row():
         search = _Search(_PairModel(n, tuple(sum(1 << v for v in row) for row in rows)), k)
         for v in rng.sample(range(n), rng.randint(0, n - 1)):
             search._include(v)
-        if not search._max_def():
+        if not _largest_deficit(search):
             continue
         search.packing_bound(n + 1)
         free, deficit = search.free, _deficits(search)
         _, _, r = min(((m & free).bit_count() - d, -d, r)
                       for r, (m, d) in enumerate(zip(search.masks, deficit)) if d)
-        assert search.tightest() == min(v for v in range(n) if (search.masks[r] & free) >> v & 1)
+        assert search.tight == search.masks[r] & free
         checked += 1
 
 
@@ -630,25 +613,80 @@ def test_dominance_is_exact_on_twin_and_nested_columns():
     assert dominating > 300
 
 
-@pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
-def test_family_dims_match_highs(name, k):
-    # An independent MILP solver on the paper's model, at family sizes far
-    # beyond the exhaustive oracle.  Dropping dominated rows leaves the
-    # optimum unchanged, and the solution is checked on every pair.
-    pytest.importorskip("scipy")
+def _highs_lex_smallest(masks, n, k):
+    """The optimum and the lexicographically smallest optimal cover of the
+    rows ``masks`` at demand k, by HiGHS alone.
+
+    One MILP gives the optimum and a first witness.  Then x_0, x_1, ... are
+    fixed in turn: x_v = 1 when v is in the witness, or when a MILP with
+    x_v = 1, the earlier fixings as bounds and a cardinality row at the
+    optimum finds a cover, which becomes the witness; x_v = 0 otherwise.
+    """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
+    rows = LinearConstraint(np.array([[m >> v & 1 for v in range(n)] for m in masks]), lb=k)
+    ones = np.ones(n)
+
+    def cover(lower, upper, size=None):
+        if size is None:
+            res = milp(ones, constraints=rows, integrality=ones, bounds=Bounds(lower, upper))
+        else:
+            size_row = LinearConstraint(ones, lb=size, ub=size)
+            res = milp(np.zeros(n), constraints=[rows, size_row], integrality=ones,
+                       bounds=Bounds(lower, upper))
+        assert res.status in (0, 2), res.message  # optimal or infeasible
+        return {v for v in range(n) if res.x[v] > 0.5} if res.status == 0 else None
+
+    lower, upper = np.zeros(n), np.ones(n)
+    witness = cover(lower, upper)
+    optimum = len(witness)
+    for v in range(n):
+        if lower.sum() == optimum:
+            break
+        lower[v] = 1
+        if v not in witness:
+            found = cover(lower, upper, optimum)
+            if found is None:
+                lower[v] = upper[v] = 0
+            else:
+                witness = found
+    return optimum, tuple(v for v in range(n) if lower[v])
+
+
+@pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
+def test_family_dims_match_highs(name, k):
+    # An independent MILP solver on the paper's model, at family sizes far
+    # beyond the exhaustive oracle: the same optimum and the same
+    # lexicographically smallest basis.  Dropping dominated rows leaves
+    # the covers unchanged, and the basis is checked on every pair.
+    pytest.importorskip("scipy")
     g = FAMILY_GRAPHS[name]()
     dm = all_pairs_distances(g)
     masks, _ = _prune_dominated(list(build_instance_full(dm, k).masks))
-    a = np.array([[m >> v & 1 for v in range(dm.n)] for m in masks])
-    res = milp(np.ones(dm.n), constraints=LinearConstraint(a, lb=k),
-               integrality=np.ones(dm.n), bounds=Bounds(0, 1))
-    assert res.success
-    chosen = [v for v in range(dm.n) if res.x[v] > 0.5]
-    assert is_k_generator(dm, chosen, k)
-    assert len(chosen) == round(res.fun) == FAMILY_DIMS[name, k]
+    optimum, basis = _highs_lex_smallest(masks, dm.n, k)
+    assert is_k_generator(dm, basis, k)
+    assert (optimum, basis) == (FAMILY_DIMS[name, k], TestSolveExact.FAMILY_SOLVES[name, k][0])
+
+
+def test_random_bases_match_highs():
+    # Sparse random connected graphs with 20 to 40 vertices, full at k = 1
+    # and at max_k and rooted at one to three roots at k = 2: value and
+    # basis equal HiGHS's lexicographically smallest optimum.
+    pytest.importorskip("scipy")
+    rng = random.Random(31)
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randint(20, 40), 0.05)
+        dm = all_pairs_distances(g)
+        rg = RootedGraph(g, tuple(sorted(rng.sample(range(g.n), rng.randint(1, 3)))))
+        instances = [build_instance_full(dm, 1), build_instance_full(dm, max_k(dm)),
+                     build_instance_rooted(rg, dm, 2)]
+        for inst in instances:
+            if not inst.feasible or not inst.masks:
+                continue
+            res = solve_exact(inst)
+            masks, _ = _prune_dominated(inst.masks)
+            assert (res.value, res.basis) == _highs_lex_smallest(masks, dm.n, inst.demand)
 
 
 class TestDimK:
