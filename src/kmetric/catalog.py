@@ -56,17 +56,10 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def connected_graphs(max_n: int = 7, min_n: int = 1) -> list[Graph]:
-    """All catalog graphs with min_n <= n <= max_n, in stored order."""
+def connected_graphs() -> list[Graph]:
+    """All catalog graphs, in stored order."""
     text = resources.files("kmetric").joinpath("data/connected_le7.g6").read_text()
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        g = decode_graph6(line)
-        if min_n <= g.n <= max_n:
-            out.append(g)
-    return out
+    return [decode_graph6(line) for line in text.splitlines() if line.strip()]
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:

@@ -3,10 +3,12 @@
 Subcommands: dim, maxk, product, gen, bound, verify-table, export-dot.
 Vertex labels in human-readable output are 1-based (v1, v2, ...); file
 formats and command-line vertex arguments are 0-based.  Exit codes: 0
-success (an infinite dimension is an answer, not a failure), 2 input parse
-error, 3 invalid or missing k / roots / files / parameters or an output
-file that cannot be written, 4 internal consistency failure (oracle or
-distance-formula mismatch, never expected).
+success (an infinite dimension is an answer, not a failure), 2 an input
+file that cannot be read or parsed, or a command line that argparse
+rejects (a missing ``--k``, an unknown option), 3 an invalid k, missing or
+invalid roots / factor files / parameters, or an output file that cannot
+be written, 4 internal consistency failure (oracle or distance-formula
+mismatch, never expected).
 """
 
 from __future__ import annotations
@@ -66,10 +68,9 @@ def _digest(g: Graph) -> str:
     return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
 
 
-def _append_log(args, record: dict) -> None:
-    if getattr(args, "log", None):
-        with open(args.log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _append_log(path: str, record: dict) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _format_basis(basis) -> str:
@@ -108,14 +109,15 @@ def cmd_dim(args) -> int:
         )
     elapsed = time.perf_counter() - started
     _print_dim(res, args.json)
-    _append_log(args, {
-        "command": "dim",
-        "argv": args.argv,
-        "digest": _digest(g),
-        "k": args.k,
-        "result": res.to_json_dict(),
-        "wall_time": elapsed,
-    })
+    if args.log:
+        _append_log(args.log, {
+            "command": "dim",
+            "argv": args.argv,
+            "digest": _digest(g),
+            "k": args.k,
+            "result": res.to_json_dict(),
+            "wall_time": elapsed,
+        })
     return 0
 
 
@@ -131,14 +133,15 @@ def cmd_maxk(args) -> int:
                          sort_keys=True))
     else:
         print(f"max_k = {text}")
-    _append_log(args, {
-        "command": "maxk",
-        "argv": args.argv,
-        "digest": _digest(g),
-        "k": None,
-        "result": {"max_k": text},
-        "wall_time": elapsed,
-    })
+    if args.log:
+        _append_log(args.log, {
+            "command": "maxk",
+            "argv": args.argv,
+            "digest": _digest(g),
+            "k": None,
+            "result": {"max_k": text},
+            "wall_time": elapsed,
+        })
     return 0
 
 

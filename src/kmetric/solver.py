@@ -27,10 +27,10 @@ the dominance prune: a row that is a superset of another is implied at
 every demand.  A ``_PairModel`` holds all of this: the rows, their
 smallest size and, built on the first solve that searches, the pruned
 rows, their columns (per vertex, the bitset of the kept rows holding it)
-and the dominated columns (per vertex u, the other vertices whose columns
-are subsets of u's).  Each matrix builds each family's model once, in
-``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or by the
-root set, and an instance is that model and a demand.  ``max_k`` is the
+and the dominated columns (per vertex u, the vertices whose columns are
+subsets of u's, u among them).  Each matrix builds each family's model
+once, in ``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or
+by the root set, and an instance is that model and a demand.  ``max_k`` is the
 smallest row size, an instance is infeasible exactly when its demand
 exceeds it, and every k solved on one matrix searches the same pruned
 rows and columns.
@@ -41,31 +41,30 @@ spare, the "fail-first" rule of Haralick and Elliott, 1980.  A greedy pass
 (the vertex in the most deficient rows, until every row is covered) gives
 the first incumbent, and ``run`` then proves the optimum.  The kernel keeps
 the rows as bitsets per deficit level, ``level[d]`` holding the rows that
-still lack d of their demand, so an include is k mask operations.  An
-exclude checks only the deficient rows of the excluded vertex: those are
-the only rows it can leave uncompletable from the free vertices, and an
-uncompletable node is left at once.  Before each include the kernel
-pushes the levels and the free vertices onto an explicit stack, and
-backtracking restores them whole, so no move needs an inverse, and the
-search depth, which can reach the number of vertices, does not depend on
-Python's recursion limit.
+still lack d of their demand, so an include is k mask operations and an
+exclude one.  Before each include the kernel pushes the levels and the
+free vertices onto an explicit stack, and backtracking restores them
+whole, so no move needs an inverse, and the search depth, which can reach
+the number of vertices, does not depend on Python's recursion limit.
 
 Backtracking into "exclude u" also excludes every free vertex w that u
 dominates (Beasley's column dominance, EJOR 1987).  A cover holding w but
 not u stays a cover of the same size with w swapped for u, and that cover
 lies in the include-u subtree, already searched under an incumbent no
 smaller than the current one; so no cover smaller than the incumbent is
-lost.  The rows of w are rows of u, so the check of u's deficient rows
-covers the excluded w too.
+lost.
 
-A node is cut by the row-packing bound on the vertices it still needs.
-It walks the levels from k down and adds each row's deficit less its
-members already claimed by the rows taken before it; its first row adds
-the largest deficit of any row.  That sum is the Lagrangian of the model's
-LP relaxation, sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over the free
-vertices v, at the 0/1 multiplier y of the rows that added something.
-Every y >= 0 gives a lower bound, and this one is a sum of integers, so no
-rounding error can cut a node that holds an optimal cover.
+Each node has one test, the row-packing bound on the vertices it still
+needs.  It walks the levels from k down and adds each row's deficit less
+its members already claimed by the rows taken before it; its first row
+adds the largest deficit of any row.  That sum is the Lagrangian of the
+model's LP relaxation, sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over
+the free vertices v, at the 0/1 multiplier y of the rows that added
+something.  Every y >= 0 gives a lower bound, and this one is a sum of
+integers, so no rounding error can cut a node that holds an optimal
+cover.  A row walked with fewer free members than its deficit cannot be
+completed, and the bound is then infinite.  A node is cut when its bound
+does not fit under the incumbent.
 
 The reported basis is the lexicographically smallest optimal cover, found
 by fixing x_0, x_1, ... in turn (``_Search.lex_smallest``): each vertex is
@@ -394,10 +393,10 @@ def _columns(masks: Sequence[int], n: int) -> list[int]:
 
 
 def _dominated(col_of: Sequence[int]) -> list[int]:
-    """Per vertex u, the bitset of the other vertices w whose columns are
-    subsets of u's: every kept row holding w holds u.  Equal columns count."""
-    return [sum(1 << w for w, other in enumerate(col_of) if other | col == col) ^ 1 << u
-            for u, col in enumerate(col_of)]
+    """Per vertex u, the bitset of the vertices w whose columns are subsets
+    of u's: every kept row holding w holds u.  Equal columns count, and u
+    is in its own set."""
+    return [sum(1 << w for w, other in enumerate(col_of) if other | col == col) for col in col_of]
 
 
 class _Search:
@@ -419,19 +418,15 @@ class _Search:
     - ``free``: the bitset of vertices neither included nor excluded.
 
     An include moves ``level[d] & col_of[v]`` down one level for d = 1..k
-    in ascending order, so each row of v moves once.  It leaves
-    ``|row & free| - deficit`` unchanged for every deficient row, and an
-    exclude lowers it only for the rows of the excluded vertex.  So a node
-    is feasible exactly when its last exclude left every deficient row of
-    that vertex with at least its deficit in free vertices, which
-    ``_exclude`` reports; ``run`` backtracks from an infeasible node at
-    once.  ``dominated[u]`` holds the vertices whose rows are all rows of
-    u, so masking them out of ``free`` before ``_exclude(u)`` lowers only
-    the free counts that check reads.  No move is undone: ``run`` saves
-    the state before each include on an explicit stack and restores it
-    whole when it backtracks past that include, and the stack, not
-    recursion, holds the path, so the depth (up to n) is not bounded by
-    Python's recursion limit.
+    in ascending order, so each row of v moves once.  An exclude of u is
+    ``free & ~dominated[u]``: u and the vertices whose rows are all rows of
+    u leave ``free``.  ``packing_bound`` is the one node test: it is
+    infinite at a node where a deficient row has fewer free members than
+    its deficit, and otherwise a lower bound on the includes still needed.
+    No move is undone: ``run`` saves the state before each include on an
+    explicit stack and restores it whole when it backtracks past that
+    include, and the stack, not recursion, holds the path, so the depth (up
+    to n) is not bounded by Python's recursion limit.
     """
 
     def __init__(self, model: _PairModel, k: int):
@@ -453,27 +448,19 @@ class _Search:
             level[d] ^= moved
             level[d - 1] |= moved
 
-    def _exclude(self, v: int) -> bool:
-        """Exclude v; is every deficient row of v still completable?"""
-        self.free ^= 1 << v
-        level, masks, free, col = self.level, self.masks, self.free, self.col_of[v]
-        for d in range(1, self.k + 1):
-            for r in _bits(level[d] & col):
-                if (masks[r] & free).bit_count() < d:
-                    return False
-        return True
-
-    def packing_bound(self, room: int) -> int:
-        """Row-packing lower bound on the vertices still to include.
+    def packing_bound(self, room: int) -> int | float:
+        """Row-packing lower bound on the vertices still to include, or
+        INFINITE when a deficient row cannot be completed.
 
         Rows are taken by falling deficit, by index within a level; a row
-        adds its deficit minus its members already used by the rows taken
-        before it, when that is positive, and its free members then count
-        as used.  The first row adds its whole deficit, the largest of any
-        row.  Stops once the bound reaches ``room``.  A walk that does not
-        stop early also records in ``tight`` the free members of the row of
-        least slack ``|row & free| - deficit``, the first such row in the
-        walk's order.
+        whose slack ``|row & free| - deficit`` is negative ends the walk
+        with INFINITE.  Otherwise a row adds its deficit minus its members
+        already used by the rows taken before it, when that is positive,
+        and its free members then count as used.  The first row adds its
+        whole deficit, the largest of any row.  Stops once the bound
+        reaches ``room``.  A walk that does not stop early also records in
+        ``tight`` the free members of the row of least slack, the first
+        such row in the walk's order.
         """
         masks, free = self.masks, self.free
         bound = 0
@@ -485,6 +472,8 @@ class _Search:
                 rest = m & free
                 slack = rest.bit_count() - d
                 if slack < least:
+                    if slack < 0:
+                        return INFINITE
                     least, tight = slack, rest
                 gain = d - (m & used).bit_count()
                 if gain > 0:
@@ -517,40 +506,38 @@ class _Search:
         Covers smaller than ``best_value`` replace the incumbent, counted
         from this node: ``best_mask`` holds the includes below it.  With
         ``first_only`` the first such cover ends the search.  A node is cut
-        when its last exclude left a row that the free vertices cannot
-        complete, or when its row-packing bound cannot fit under the
-        incumbent; either way it holds no cover smaller than
-        ``best_value``.  A node that is not cut branches on the lowest
-        vertex of ``tight``.  ``stack`` holds, per include on the current
-        path, the vertex and the ``level`` and ``free`` it was made from;
-        its length is the size of the path's cover.  Backtracking restores
-        the deepest entry's state and excludes its vertex u together with
-        the free vertices u dominates: any cover that holds one of them but
-        not u has a swap of the same size in the include-u subtree just
-        left.  The starting node's state is restored once at the end.
+        when its ``packing_bound`` does not fit under the incumbent, which
+        includes every node that the free vertices cannot complete; a node
+        that is not cut branches on the lowest vertex of ``tight``.  Every
+        cover found below the starting node is smaller than ``best_value``:
+        a node branches only when its bound, at least 1 while a row is
+        deficient, is below the room left under the incumbent.  ``stack`` holds, per
+        include on the current path, the vertex and the ``level`` and
+        ``free`` it was made from; its length is the size of the path's
+        cover.  Backtracking restores the deepest entry's state and
+        excludes its vertex u together with the free vertices u dominates:
+        any cover that holds one of them but not u has a swap of the same
+        size in the include-u subtree just left.  The starting node's state
+        is restored once at the end.
         """
         root = self.level[:], self.free
         stack: list[tuple[int, list[int], int]] = []
-        feasible = True
         while True:
             self.nodes += 1
-            if feasible:
-                if self.level[0] == self.all_rows:
-                    if len(stack) < self.best_value:
-                        self.best_value = len(stack)
-                        self.best_mask = sum(1 << v for v, _, _ in stack)
-                    if first_only:
-                        break
-                elif self.packing_bound(room := self.best_value - len(stack)) < room:
-                    v = (self.tight & -self.tight).bit_length() - 1
-                    stack.append((v, self.level[:], self.free))
-                    self._include(v)
-                    continue
+            if self.level[0] == self.all_rows:
+                self.best_value = len(stack)
+                self.best_mask = sum(1 << v for v, _, _ in stack)
+                if first_only:
+                    break
+            elif self.packing_bound(room := self.best_value - len(stack)) < room:
+                v = (self.tight & -self.tight).bit_length() - 1
+                stack.append((v, self.level[:], self.free))
+                self._include(v)
+                continue
             if not stack:
                 break
             v, self.level, free = stack.pop()
             self.free = free & ~self.dominated[v]
-            feasible = self._exclude(v)
         self.level, self.free = root
 
     def lex_smallest(self) -> None:

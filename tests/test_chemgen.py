@@ -206,6 +206,23 @@ class TestBridgePathUniform:
         with pytest.raises(GraphError):
             bridge_path_uniform(cycle_graph(4), 0, 0)
 
+    @pytest.mark.parametrize("g, u, d", [
+        (cycle_graph(4), 0, 1), (cycle_graph(4), 0, 3), (cycle_graph(5), 2, 4),
+        (path_graph(4), 1, 2), (path_graph(3), 2, 5),
+    ])
+    def test_isomorphic_to_rooted_product(self, g, u, d):
+        # Copy j, vertex x (index j * n + x) is the product pair (x, j).
+        out = bridge_path_uniform(g, u, d)
+        product = hierarchical_product(RootedGraph(g, (u,)), path_graph(d))
+        n = g.n
+
+        def pair_index(i):
+            return product.index_of(i % n, i // n)
+
+        mapped = {tuple(sorted((pair_index(a), pair_index(b)))) for a, b in out.edges()}
+        assert out.n == product.graph.n
+        assert mapped == set(product.graph.edges())
+
 
 class TestTableOneFamilies:
     def test_f41_dimensions(self):

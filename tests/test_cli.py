@@ -132,6 +132,23 @@ class TestDimCommand:
         records = [json.loads(line) for line in open(log, encoding="utf-8")]
         assert [r["argv"] for r in records] == [dim_argv, maxk_argv]
 
+    def test_no_log_record_built_without_log(self, p3_file, monkeypatch, capsys):
+        # The record's digest hashes the whole graph text; without --log
+        # nothing of the record is built.
+        def refuse(g):
+            raise AssertionError("digest computed without --log")
+
+        monkeypatch.setattr(cli, "_digest", refuse)
+        assert main(["dim", p3_file, "--k", "1"]) == 0
+        assert main(["maxk", p3_file, "--json"]) == 0
+
+    @pytest.mark.parametrize("argv", [["dim", "{p3}"], ["dim", "{p3}", "--k", "1", "--bogus"]])
+    def test_command_line_argparse_rejects_exits_2(self, argv, p3_file, capsys):
+        # A missing --k is argparse's error, not an invalid k (exit 3).
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(p3=p3_file) for a in argv])
+        assert exc.value.code == 2
+
 
 class TestMaxkCommand:
     def test_p3(self, p3_file, capsys):

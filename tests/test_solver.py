@@ -62,11 +62,13 @@ def _largest_deficit(search):
 
 def _max_deficit_cut(monkeypatch):
     """Cut nodes by the largest deficit of one row instead of the row-packing
-    bound; the packing walk still runs in full to record the tightest row."""
+    bound; the packing walk still runs in full to record the tightest row,
+    and an uncompletable node is still cut by its INFINITE bound."""
     packing_bound = _Search.packing_bound
 
     def largest_deficit(self, room):
-        packing_bound(self, INFINITE)
+        if packing_bound(self, INFINITE) == INFINITE:
+            return INFINITE
         return _largest_deficit(self)
 
     monkeypatch.setattr(_Search, "packing_bound", largest_deficit)
@@ -529,22 +531,47 @@ def test_packing_bound_is_sound():
         root = search.packing_bound(n + 1)
         assert _largest_deficit(search) <= root <= oracle_solve(MulticoverInstance(model, k)).value
         moved = rng.sample(range(n), rng.randint(1, n - 1))
-        feasible = True
         for v in moved:
             if rng.random() < 0.5:
                 search._include(v)
             else:
-                feasible &= search._exclude(v)
+                search.free &= ~(1 << v)
         assert search.free == (1 << n) - 1 - sum(1 << v for v in moved)
         deficit = _deficits(search)
-        # An include never makes a row uncompletable, and a row an exclude
-        # made uncompletable stays so: the excludes' answers are exact.
-        assert feasible == all((m & search.free).bit_count() >= d for m, d in zip(masks, deficit))
-        if not feasible or not _largest_deficit(search):
+        if not _largest_deficit(search):
             continue
-        bound = search.packing_bound(n + 1)
+        # The bound is infinite exactly when some row cannot be completed.
+        feasible = all((m & search.free).bit_count() >= d for m, d in zip(masks, deficit))
+        bound = search.packing_bound(INFINITE)
+        assert (bound == INFINITE) == (not feasible)
+        if not feasible:
+            continue
         assert _largest_deficit(search) <= bound
         assert bound <= _min_completion(masks, deficit, search.free)
+        checked += 1
+
+
+def test_run_from_uncompletable_node_stops_at_once():
+    # With no incumbent to cut against, only the node test's INFINITE bound
+    # stops a node whose free vertices cannot complete some row: run counts
+    # that one node and leaves the incumbent and the state as they were.
+    rng = random.Random(13)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(3, 12)
+        k = rng.randint(1, 3)
+        rows = [rng.sample(range(n), rng.randint(k, n)) for _ in range(rng.randint(1, 15))]
+        search = _Search(_PairModel(n, tuple(sum(1 << v for v in row) for row in rows)), k)
+        for v in rng.sample(range(n), rng.randint(1, n - 1)):
+            search.free &= ~(1 << v)
+        if all((m & search.free).bit_count() >= k for m in search.masks):
+            continue
+        search.best_value, search.best_mask = INFINITE, 0b101
+        state = _search_state(search)
+        search.run(False)
+        assert search.nodes == 1
+        assert (search.best_value, search.best_mask) == (INFINITE, 0b101)
+        assert _search_state(search) == state
         checked += 1
 
 
@@ -577,8 +604,7 @@ def test_dominated_lists_hold_subset_columns():
     for _ in range(200):
         rows = rng.randint(0, 8)
         col_of = [rng.getrandbits(rows) for _ in range(rng.randint(1, 10))]
-        expected = [sum(1 << w for w, cw in enumerate(col_of) if w != u and not cw & ~cu)
-                    for u, cu in enumerate(col_of)]
+        expected = [sum(1 << w for w, cw in enumerate(col_of) if not cw & ~cu) for cu in col_of]
         assert solver._dominated(col_of) == expected
 
 
