@@ -64,6 +64,10 @@ class Graph:
         return Graph(self.n, self.adjacency, tuple(labels))
 
 
+# _DIGIT[b] spells each byte as the digit "1" when its bit b is set, else "0".
+_DIGIT = tuple(bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8))
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs shortest-path hop counts of a connected graph."""
@@ -79,21 +83,24 @@ class DistanceMatrix:
         return self.d[i]
 
     @cached_property
-    def packed(self) -> tuple[tuple[int, ...], ...]:
-        """packed[p][u]: the distance row of u as an int, one byte per vertex.
+    def planes(self) -> tuple[tuple[int, ...], ...]:
+        """planes[b][u]: the bitset of the vertices w for which bit b of
+        d(u, w) is set.
 
-        Byte w of the int, counted from the low end, is byte p of d(u, w).
-        There is one byte plane per byte of the diameter, so a single one
-        below 256.  Computed on first use and kept, so every model built
-        from this matrix shares one copy.
+        There are max(1, diameter.bit_length()) planes.  Each plane of a row
+        is one byte translation of the row, spelled high vertex first, and
+        one base-2 parse; a diameter of 256 or more spells the row once per
+        byte of the distances.  Computed on first use and kept, so every
+        model built from this matrix shares one copy.
         """
         diameter = max(map(max, self.d))
+        depth = max(1, diameter.bit_length())
+        # spelled[p][u]: byte p of d(u, w) for each w, high vertex first.
         if diameter < 256:
-            return (tuple(int.from_bytes(bytes(row), "little") for row in self.d),)
-        return tuple(
-            tuple(int.from_bytes(bytes(x >> s & 255 for x in row), "little") for row in self.d)
-            for s in range(0, diameter.bit_length(), 8)
-        )
+            spelled = [[bytes(row)[::-1] for row in self.d]]
+        else:
+            spelled = [[bytes(x >> s & 255 for x in reversed(row)) for row in self.d] for s in range(0, depth, 8)]
+        return tuple(tuple(int(s.translate(_DIGIT[b % 8]), 2) for s in spelled[b // 8]) for b in range(depth))
 
     @cached_property
     def pair_models(self) -> dict:

@@ -12,23 +12,23 @@ A model is a pair family turned into rows.  The full family is every pair
 i < j; the rooted family, which the hierarchical-product theorems need,
 keeps the pairs on a common distance sphere around a root
 (``sphere_pairs``).  One builder, ``_pair_masks``, makes the row of every
-pair as an int bitset over the vertices, from packed distance rows: with
-``D[u]`` the distances from u packed one byte per vertex
-(``DistanceMatrix.packed``, computed once per matrix), the bytes of
-``D[u] ^ D[v]`` are nonzero exactly at the distinguishers of (u, v), so
-one XOR, one byte translation and one base-2 parse make the row.  A
-diameter of 256 or more takes one such plane per byte of the distances,
-ORed before the translation.  ``max_k``, ``distinguishers`` and both
-model builders call it, and the solver and the oracle read the same
-instance.
+pair as an int bitset over the vertices, from bit planes of the distances:
+with ``P_b[u]`` the vertices w for which bit b of d(u, w) is set
+(``DistanceMatrix.planes``, computed once per matrix), ``P_b[u] ^ P_b[v]``
+holds the vertices whose distances from u and v differ in bit b, so the
+row of (u, v) is the OR of those XORs over the diameter's bits.
+``max_k``, ``distinguishers`` and both model builders call it, and the
+solver and the oracle read the same instance.
 
 The rows of a family depend on the distances alone, not on k, and so does
 the dominance prune: a row that is a superset of another is implied at
-every demand.  A ``_PairModel`` holds all of this: the rows, their
-smallest size and, built on the first solve that searches, the pruned
-rows, their columns (per vertex, the bitset of the kept rows holding it)
-and the dominated columns (per vertex u, the vertices whose columns are
-subsets of u's, u among them).  Each matrix builds each family's model
+every demand.  The prune tests each row only against the kept rows that
+miss its lowest non-member, since any kept subset of the row misses it
+too.  A ``_PairModel`` holds all of this: the rows, their smallest size
+and, built on the first solve that searches, the pruned rows, their
+columns (per vertex, the bitset of the kept rows holding it) and the
+dominated columns (per vertex u, the vertices whose columns are subsets
+of u's, u among them).  Each matrix builds each family's model
 once, in ``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or
 by the root set, and an instance is that model and a demand.  ``max_k`` is the
 smallest row size, an instance is infeasible exactly when its demand
@@ -223,30 +223,24 @@ def distinguishers(dm: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     return _mask_to_tuple(next(_pair_masks(dm, ((u, v),))))
 
 
-# Byte 0 to the digit "0", every other byte to "1".
-_NONZERO = b"0" + b"1" * 255
-
-
 def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
     """Distinguisher bitsets of ``pairs``, in their order.
 
     ``None`` means every pair (i, j), i < j, in lexicographic order; other
-    pairs come as a sequence.  The XOR of two packed distance rows
-    (``DistanceMatrix.packed``) has a nonzero byte exactly at the vertices
-    whose distances differ in that byte plane; with more than one plane
-    the XORs are ORed.  Each byte of the result is then spelled as a
-    binary digit, high vertex first, and parsed as the row.
+    pairs come as a sequence.  The XOR of two rows of one bit plane
+    (``DistanceMatrix.planes``) holds the vertices whose distances from u
+    and v differ in that bit, so the row of (u, v) is the OR of its XORs
+    over the planes.
     """
-    n = dm.n
     if pairs is None:
-        diffs = (starmap(xor, combinations(plane, 2)) for plane in dm.packed)
+        diffs = (starmap(xor, combinations(plane, 2)) for plane in dm.planes)
     else:
         # plane.__getitem__ binds each plane as it is reached; a nested
         # generator would read whichever plane the outer loop is on.
         us, vs = [u for u, _ in pairs], [v for _, v in pairs]
-        diffs = (map(xor, map(plane.__getitem__, us), map(plane.__getitem__, vs)) for plane in dm.packed)
+        diffs = (map(xor, map(plane.__getitem__, us), map(plane.__getitem__, vs)) for plane in dm.planes)
     # One plane is its own XORs; more are ORed pairwise in C.
-    return (int(x.to_bytes(n, "big").translate(_NONZERO), 2) for x in reduce(partial(map, or_), diffs))
+    return reduce(partial(map, or_), diffs)
 
 
 class _PairModel:
@@ -371,16 +365,28 @@ def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
     The distinct rows are taken by size, then by value, and one is kept
     when every row kept before it has a member outside it; a repeated row
-    is dropped with its first copy kept.
+    is dropped with its first copy kept.  A kept row inside m misses m's
+    lowest non-member w, so m is tested only against ``missing[w]``, the
+    kept rows without w.  A row with no non-member tests every kept row,
+    held in the last slot, ``missing[-1]``; each kept row joins that slot
+    and the list of each of its non-members.
     """
     rows = sorted(set(masks))
     rows.sort(key=int.bit_count)
-    full = (1 << max(masks, default=0).bit_length()) - 1
-    kept: list[int] = []
+    width = max(masks, default=0).bit_length()
+    full = (1 << width) - 1
+    missing: list[list[int]] = [[] for _ in range(width + 1)]
     for m in rows:
-        if all(map((full ^ m).__and__, kept)):
-            kept.append(m)
-    return tuple(kept), len(masks) - len(kept)
+        rest = full ^ m
+        # The lowest non-member of m, or -1, the last slot, when m has none.
+        if all(map(rest.__and__, missing[(rest & -rest).bit_length() - 1])):
+            missing[-1].append(m)
+            while rest:
+                low = rest & -rest
+                missing[low.bit_length() - 1].append(m)
+                rest ^= low
+    kept = tuple(missing[-1])
+    return kept, len(masks) - len(kept)
 
 
 def _columns(masks: Sequence[int], n: int) -> list[int]:
@@ -460,11 +466,11 @@ class _Search:
         whole deficit, the largest of any row.  Stops once the bound
         reaches ``room``.  A walk that does not stop early also records in
         ``tight`` the free members of the row of least slack, the first
-        such row in the walk's order.
+        such row in the walk's order; with no deficient row the bound and
+        ``tight`` are 0.
         """
         masks, free = self.masks, self.free
-        bound = 0
-        used = 0
+        bound = used = tight = 0
         least = free.bit_count()  # above the slack of any deficient row
         for d in range(self.k, 0, -1):
             for r in _bits(self.level[d]):

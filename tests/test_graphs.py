@@ -65,20 +65,20 @@ class TestDistances:
     def test_k1(self):
         dm = all_pairs_distances(build_graph(1, []))
         assert dm.d == ((0,),)
-        assert dm.packed == ((0,),)
+        assert dm.planes == ((0,),)
 
-    def test_p3_packed(self):
-        # Byte w from the low end of row u is d(u, w).
+    def test_p3_planes(self):
+        # Bit w of planes[b][u] is bit b of d(u, w); a diameter of 2 takes two planes.
         dm = all_pairs_distances(path_graph(3))
-        assert dm.packed == ((0x020100, 0x010001, 0x000102),)
+        assert dm.planes == ((0b010, 0b101, 0b010), (0b100, 0b000, 0b001))
 
-    def test_c600_packed_in_two_planes(self):
-        # A diameter of 300 needs a second byte plane for the high bytes.
+    def test_c600_planes_rebuild_every_distance(self):
+        # A diameter of 300 takes nine planes, the ninth from the high byte.
         dm = all_pairs_distances(cycle_graph(600))
-        assert len(dm.packed) == 2
-        for u, (low, high) in enumerate(zip(*dm.packed)):
-            spelled = zip(low.to_bytes(600, "little"), high.to_bytes(600, "little"))
-            assert tuple(lo | hi << 8 for lo, hi in spelled) == dm.d[u]
+        assert len(dm.planes) == 9
+        for u in range(600):
+            rebuilt = tuple(sum((plane[u] >> w & 1) << b for b, plane in enumerate(dm.planes)) for w in range(600))
+            assert rebuilt == dm.d[u]
 
     def test_c4(self):
         dm = all_pairs_distances(cycle_graph(4))

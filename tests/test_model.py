@@ -1,4 +1,4 @@
-"""Property tests of the distinguisher model built from packed distance rows.
+"""Property tests of the distinguisher model built from bit planes of the distances.
 
 Every row mask is checked against a brute-force scan of the distance
 matrix, for the full model and the rooted (sphere-pair) model, on random
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmetric.catalog import connected_graphs
-from kmetric.chemgen import armchair
+from kmetric.chemgen import armchair, nanotube
 from kmetric.graphs import all_pairs_distances, build_graph, cycle_graph, path_graph
 from kmetric.products import RootedGraph
 from kmetric.solver import (
@@ -145,8 +145,25 @@ def test_prune_and_columns_match_references():
             cases.append((inst.masks, g.n))
     # Repeated rows, an empty row, and vertex 4 in no row.
     cases += [((0b0110, 0b0011, 0b0110, 0b1111, 0b0011), 5), ((0b1010, 0, 0b0001, 0), 5), ((), 3)]
+    cases += [
+        ((0b111,), 3),  # a full row alone: no non-member, no kept row to test
+        # Full rows after two rows they hold, both holding vertex 0: only
+        # the slot of every kept row finds them.
+        ((0b1111, 0b0011, 0b1111, 0b1001), 4),
+        ((0,), 2),  # an empty row alone
+        ((0b11, 0, 0b10), 2),  # an empty row is inside every row
+        ((0b101, 0b101, 0b101), 3),  # a row repeated, its first copy kept
+        # 0b0110 misses vertex 0 first and 0b0111 misses vertex 3 first, so
+        # 0b0111 finds its subset in the list of vertex 3.
+        ((0b0111, 0b0110, 0b1000), 4),
+    ]
     for masks, n in cases:
         kept, dropped = _prune_dominated(masks)
         assert (kept, dropped) == reference_prune(masks)
         assert _columns(kept, n) == reference_columns(kept, n)
         assert _columns(masks, n) == reference_columns(masks, n)
+    # Full models of up to 179,700 rows, the prune alone: armchair(7), F_{4,3}
+    # and C_600, whose diameter of 300 spans two bytes of bit planes.
+    for g in (armchair(7).graph, nanotube(4, 3).graph, cycle_graph(600)):
+        masks = build_instance_full(all_pairs_distances(g), 1).masks
+        assert _prune_dominated(masks) == reference_prune(masks)

@@ -551,6 +551,18 @@ def test_packing_bound_is_sound():
         checked += 1
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_packing_bound_is_zero_with_no_deficient_row(k):
+    # With every vertex of P_4 included no row is deficient: nothing is left
+    # to include, and no row is recorded as the tightest.
+    search = _Search(build_instance_full(all_pairs_distances(path_graph(4)), k).model, k)
+    for v in range(4):
+        search._include(v)
+    assert search.level[0] == search.all_rows
+    assert search.packing_bound(INFINITE) == 0
+    assert search.tight == 0
+
+
 def test_run_from_uncompletable_node_stops_at_once():
     # With no incumbent to cut against, only the node test's INFINITE bound
     # stops a node whose free vertices cannot complete some row: run counts
