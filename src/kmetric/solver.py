@@ -24,13 +24,14 @@ The rows of a family depend on the distances alone, not on k, and so does
 the dominance prune: a row that is a superset of another is implied at
 every demand.  The prune tests each row only against the kept rows that
 miss its lowest non-member, since any kept subset of the row misses it
-too.  A ``_PairModel`` holds all of this: the rows, their smallest size
-and, built on the first solve that searches, the pruned rows, their
-columns (per vertex, the bitset of the kept rows holding it) and the
-dominated columns (per vertex u, the vertices whose columns are subsets
-of u's, u among them).  Each matrix builds each family's model
-once, in ``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or
-by the root set, and an instance is that model and a demand.  ``max_k`` is the
+too.  The prune builds the columns of the kept rows (per vertex, the
+bitset of the kept rows holding it) in the same pass.  A ``_PairModel``
+holds all of this: the rows, their smallest size and, built on the first
+solve that searches, the pruned rows, their columns and the dominated
+columns (per vertex u, the vertices whose columns are subsets of u's, u
+among them).  Each matrix builds each family's model once, in
+``DistanceMatrix.pair_models`` keyed by ``None`` for all pairs or by the
+root set, and an instance is that model and a demand.  ``max_k`` is the
 smallest row size, an instance is infeasible exactly when its demand
 exceeds it, and every k solved on one matrix searches the same pruned
 rows and columns.
@@ -69,8 +70,9 @@ does not fit under the incumbent.
 The reported basis is the lexicographically smallest optimal cover, found
 by fixing x_0, x_1, ... in turn (``_Search.lex_smallest``): each vertex is
 included exactly when some optimal cover agrees with the fixings made so
-far and holds it, which the loop decides from a witness cover, a swap or
-one ``run`` that stops at its first cover.
+far and holds it.  The loop decides that from a witness cover when the
+vertex is in it, and otherwise from one ``run`` that stops at its first
+cover.
 
 The solver is sequential and fully deterministic: the optimum value and the
 reported basis (the lexicographically smallest optimal vertex set) depend
@@ -129,6 +131,8 @@ class MulticoverInstance:
     demand: int
 
     def __post_init__(self):
+        if not isinstance(self.demand, int):
+            raise ValueError(f"demand must be an int, got {self.demand!r}")
         if self.demand < 0:
             raise ValueError(f"demand must be >= 0, got {self.demand}")
 
@@ -249,8 +253,9 @@ class _PairModel:
     ``min_size`` is the smallest row size, INFINITE when there are no rows,
     so the family admits demand k exactly when ``min_size >= k``.
     ``pruned()`` gives what the search reads, none of which depends on k
-    either: the dominance-pruned rows, the dropped count, the columns of
-    the kept rows and the dominated columns, built on its first call.
+    either: the dominance-pruned rows, the dropped count and the columns of
+    the kept rows, all three from one ``_prune_dominated`` pass, and the
+    dominated columns, built on its first call.
     """
 
     __slots__ = ("n", "masks", "min_size", "_pruned")
@@ -263,8 +268,7 @@ class _PairModel:
 
     def pruned(self) -> tuple[tuple[int, ...], int, list[int], list[int]]:
         if self._pruned is None:
-            kept, dropped = _prune_dominated(self.masks)
-            col_of = _columns(kept, self.n)
+            kept, dropped, col_of = _prune_dominated(self.masks, self.n)
             self._pruned = kept, dropped, col_of, _dominated(col_of)
         return self._pruned
 
@@ -360,8 +364,10 @@ def build_instance_rooted(rg: RootedGraph, dm: DistanceMatrix, k: int) -> Multic
     return _pair_instance(_distances_of(rg.graph, dm), k, rg)
 
 
-def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Drop rows that are supersets of other rows (implied constraints).
+def _prune_dominated(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], int, list[int]]:
+    """Drop rows that are supersets of other rows (implied constraints), and
+    give the kept rows, the dropped count and the columns of the kept rows:
+    per vertex v, the bitset of the kept rows holding v.
 
     The distinct rows are taken by size, then by value, and one is kept
     when every row kept before it has a member outside it; a repeated row
@@ -369,33 +375,31 @@ def _prune_dominated(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
     lowest non-member w, so m is tested only against ``missing[w]``, the
     kept rows without w.  A row with no non-member tests every kept row,
     held in the last slot, ``missing[-1]``; each kept row joins that slot
-    and the list of each of its non-members.
+    and the list of each of its non-members, and sets its bit in
+    ``absent`` of each of them, so a column is the kept rows not absent.
     """
     rows = sorted(set(masks))
     rows.sort(key=int.bit_count)
     width = max(masks, default=0).bit_length()
     full = (1 << width) - 1
     missing: list[list[int]] = [[] for _ in range(width + 1)]
+    absent = [0] * width
     for m in rows:
         rest = full ^ m
         # The lowest non-member of m, or -1, the last slot, when m has none.
         if all(map(rest.__and__, missing[(rest & -rest).bit_length() - 1])):
+            bit = 1 << len(missing[-1])
             missing[-1].append(m)
             while rest:
                 low = rest & -rest
-                missing[low.bit_length() - 1].append(m)
+                w = low.bit_length() - 1
+                missing[w].append(m)
+                absent[w] |= bit
                 rest ^= low
     kept = tuple(missing[-1])
-    return kept, len(masks) - len(kept)
-
-
-def _columns(masks: Sequence[int], n: int) -> list[int]:
-    """Per vertex v, the bitset of the rows holding v."""
-    # Spelled in n binary digits, last row first, the rows transpose into
-    # one digit string per vertex, high vertex first, whose digit r from
-    # the low end is row r.
-    spelled = (format(m, f"0{n}b") for m in reversed(masks))
-    return [int("".join(col), 2) for col in zip(*spelled)][::-1] or [0] * n
+    everyone = (1 << len(kept)) - 1
+    # Vertices from ``width`` on are in no row.
+    return kept, len(masks) - len(kept), [everyone ^ a for a in absent] + [0] * (n - width)
 
 
 def _dominated(col_of: Sequence[int]) -> list[int]:
@@ -555,50 +559,40 @@ class _Search:
         exactly when some optimal cover agrees with the fixings on 0..v-1
         and holds v, and after v the fixings agree with that smallest cover
         on 0..v.  The loop keeps a witness, an optimal cover that agrees
-        with every fixing, starting from the incumbent.  v is included when:
+        with every fixing, starting from the incumbent.  v is included when
+        it is in the witness, an include that is never undone.  Otherwise
+        one ``run`` probes it: from the fixings with v included, stopping
+        at its first cover, it either finds the rest of an optimal cover,
+        which with the fixings and v is the new witness, or shows that no
+        optimal cover agreeing with the fixings holds v.
 
-        - v is in the witness;
-        - a free witness member w can be swapped for v: no row that the
-          witness meets exactly k times (the tight rows, kept per witness)
-          holds w but not v, and the witness minus w plus v is the new one;
-        - ``run``, from the fixings with v included and stopping at its
-          first cover, finds the rest of an optimal cover, which with the
-          fixings and v is the new witness.
-
-        Otherwise v is excluded together with the free vertices it
-        dominates: a cover agreeing with the fixings that held one of them
-        but not v would swap to one holding v.  The witness holds none of
-        them, or the swap test would have passed.  The loop stops when the
-        includes reach the optimum; they are then the witness.  The root
-        state is restored at the end.
+        Then v is excluded together with the free vertices it dominates: a
+        cover agreeing with the fixings that held one of them but not v
+        would swap to one holding v, which the probe found none of; so the
+        witness holds none of them.  The loop stops when the includes reach
+        the optimum; they are then the witness.  The root state is restored
+        at the end.
         """
         root = self.level[:], self.free
-        optimum, witness, col_of = self.best_value, self.best_mask, self.col_of
-        fixed, tight = 0, None
+        optimum, witness, fixed = self.best_value, self.best_mask, 0
         for v in _bits(self.free):
             if fixed.bit_count() == optimum:
                 break
             bit = 1 << v
             if not self.free & bit:
                 continue
-            level = self.level[:]
-            self._include(v)
-            if not witness & bit:
-                if tight is None:
-                    tight = sum(1 << r for r, m in enumerate(self.masks) if (m & witness).bit_count() == self.k)
-                blocked = tight & ~col_of[v]
-                swap = next((w for w in _bits(witness & self.free) if not col_of[w] & blocked), None)
-                if swap is not None:
-                    witness ^= 1 << swap | bit
-                else:
-                    self.best_value = left = optimum - fixed.bit_count()
-                    self.run(True)
-                    if self.best_value == left:
-                        self.level = level
-                        self.free &= ~self.dominated[v]
-                        continue
-                    witness = fixed | bit | self.best_mask
-                tight = None
+            if witness & bit:
+                self._include(v)
+            else:
+                level = self.level[:]
+                self._include(v)
+                self.best_value = left = optimum - fixed.bit_count()
+                self.run(True)
+                if self.best_value == left:
+                    self.level = level
+                    self.free &= ~self.dominated[v]
+                    continue
+                witness = fixed | bit | self.best_mask
             fixed |= bit
         self.best_value, self.best_mask = optimum, fixed
         self.level, self.free = root

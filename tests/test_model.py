@@ -3,7 +3,7 @@
 Every row mask is checked against a brute-force scan of the distance
 matrix, for the full model and the rooted (sphere-pair) model, on random
 connected graphs, on catalog graphs and on graphs whose diameter needs
-more than one byte.  The dominance prune and the column transpose are
+more than one byte.  The dominance prune and the columns it builds are
 checked against pairwise and per-bit references.
 """
 
@@ -21,7 +21,6 @@ from kmetric.graphs import all_pairs_distances, build_graph, cycle_graph, path_g
 from kmetric.products import RootedGraph
 from kmetric.solver import (
     INFINITE,
-    _columns,
     _prune_dominated,
     build_instance_full,
     build_instance_rooted,
@@ -157,13 +156,11 @@ def test_prune_and_columns_match_references():
         # 0b0111 finds its subset in the list of vertex 3.
         ((0b0111, 0b0110, 0b1000), 4),
     ]
-    for masks, n in cases:
-        kept, dropped = _prune_dominated(masks)
-        assert (kept, dropped) == reference_prune(masks)
-        assert _columns(kept, n) == reference_columns(kept, n)
-        assert _columns(masks, n) == reference_columns(masks, n)
-    # Full models of up to 179,700 rows, the prune alone: armchair(7), F_{4,3}
-    # and C_600, whose diameter of 300 spans two bytes of bit planes.
+    # Full models of up to 179,700 rows: armchair(7), F_{4,3} and C_600,
+    # whose diameter of 300 spans two bytes of bit planes.
     for g in (armchair(7).graph, nanotube(4, 3).graph, cycle_graph(600)):
-        masks = build_instance_full(all_pairs_distances(g), 1).masks
-        assert _prune_dominated(masks) == reference_prune(masks)
+        cases.append((build_instance_full(all_pairs_distances(g), 1).masks, g.n))
+    for masks, n in cases:
+        kept, dropped, columns = _prune_dominated(masks, n)
+        assert (kept, dropped) == reference_prune(masks)
+        assert columns == reference_columns(kept, n)
