@@ -3,6 +3,11 @@
 Vertices are dense 0-based indices.  Graphs are validated on construction
 (simple, connected, n >= 1) and immutable afterwards, so every downstream
 computation can assume a well-formed input.
+
+All-pairs distances come from one breadth-first sweep that grows a ball
+around every vertex at once and writes the bit planes of the distances
+directly (``all_pairs_distances``); the table of hop counts is spelled from
+the planes only when something reads it.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, zip_longest
+from operator import or_, xor
 
 
 class GraphError(ValueError):
@@ -64,16 +71,22 @@ class Graph:
         return Graph(self.n, self.adjacency, tuple(labels))
 
 
-# _DIGIT[b] spells each byte as the digit "1" when its bit b is set, else "0".
-_DIGIT = tuple(bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8))
+# _BIT turns the digits of bin() into the bytes 0 and 1.
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path hop counts of a connected graph."""
+    """All-pairs shortest-path hop counts of a connected graph, held as bit
+    planes.
+
+    planes[b][u] is the bitset of the vertices w for which bit b of d(u, w)
+    is set; there are max(1, diameter.bit_length()) planes.  The hop counts
+    themselves (``d``) are spelled from the planes on first use.
+    """
 
     n: int
-    d: tuple[tuple[int, ...], ...] = field(repr=False)
+    planes: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair
@@ -83,24 +96,28 @@ class DistanceMatrix:
         return self.d[i]
 
     @cached_property
-    def planes(self) -> tuple[tuple[int, ...], ...]:
-        """planes[b][u]: the bitset of the vertices w for which bit b of
-        d(u, w) is set.
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        """d[u][w]: the hop count between u and w, built on first use."""
+        return tuple(map(self.distances_from, range(self.n)))
 
-        There are max(1, diameter.bit_length()) planes.  Each plane of a row
-        is one byte translation of the row, spelled high vertex first, and
-        one base-2 parse; a diameter of 256 or more spells the row once per
-        byte of the distances.  Computed on first use and kept, so every
-        model built from this matrix shares one copy.
+    def distances_from(self, u: int) -> tuple[int, ...]:
+        """Row u of ``d``, spelled from the planes without building ``d``.
+
+        Each plane of the row is spelled high vertex first by bin(), each
+        digit translated to a byte, so byte w of one parse holds bit b of
+        d(u, w) once shifted by b.  Eight planes fill a byte per vertex; a
+        diameter of 256 or more takes one such byte string per eight planes.
         """
-        diameter = max(map(max, self.d))
-        depth = max(1, diameter.bit_length())
-        # spelled[p][u]: byte p of d(u, w) for each w, high vertex first.
-        if diameter < 256:
-            spelled = [[bytes(row)[::-1] for row in self.d]]
-        else:
-            spelled = [[bytes(x >> s & 255 for x in reversed(row)) for row in self.d] for s in range(0, depth, 8)]
-        return tuple(tuple(int(s.translate(_DIGIT[b % 8]), 2) for s in spelled[b // 8]) for b in range(depth))
+        n, planes = self.n, self.planes
+        spelled = []
+        for low in range(0, len(planes), 8):
+            digits = 0
+            for b, plane in enumerate(planes[low : low + 8]):
+                digits |= int.from_bytes(bin(plane[u])[2:].encode().translate(_BIT), "big") << b
+            spelled.append(digits.to_bytes(n, "little"))
+        if len(spelled) == 1:
+            return tuple(spelled[0])
+        return tuple(sum(x << 8 * s for s, x in enumerate(column)) for column in zip(*spelled))
 
     @cached_property
     def pair_models(self) -> dict:
@@ -157,9 +174,45 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Distance matrix via one BFS per vertex."""
-    rows = tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
-    return DistanceMatrix(g.n, rows)
+    """Distance matrix via one breadth-first sweep from every vertex at once.
+
+    ball[v] is the bitset of the vertices within radius r of v.  Growing r
+    by one ORs each vertex's neighbours' balls into its own, one neighbour
+    slot at a time over all vertices; a vertex short of neighbours reads the
+    sentinel ball n, which stays empty.  Distances are symmetric, so bit w
+    of ball[v] is set exactly when d(v, w) <= r.  Counting from d(v, w) up
+    to D + 1, D the diameter, flips bit b at each r whose low b bits are all
+    ones; so the XOR of the balls at those radii is bit b of d(v, w) XOR bit
+    b of D + 1, and plane b is that XOR, complemented where bit b of D + 1
+    is set.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    # The empty iterable gives every slot a last entry n, so the sentinel
+    # ORs its own empty ball and each level's lists keep n + 1 entries.
+    slots = list(zip_longest(*g.adjacency, (), fillvalue=n))
+    ball = [1 << v for v in range(n)] + [0]
+    planes: list[list[int]] = []
+    for r in count():
+        # r -> r + 1 flips bits 0..t of r, t its number of trailing ones.
+        for b in range((~r & (r + 1)).bit_length()):
+            if b == len(planes):
+                planes.append(ball)
+            else:
+                planes[b] = list(map(xor, planes[b], ball))
+        if ball.count(full) == n:
+            break
+        grown = ball
+        for slot in slots:
+            grown = list(map(or_, grown, map(ball.__getitem__, slot)))
+        ball = grown
+    return DistanceMatrix(
+        n,
+        tuple(
+            tuple(x ^ full for x in plane[:n]) if (r + 1) >> b & 1 else tuple(plane[:n])
+            for b, plane in enumerate(planes[: max(1, r.bit_length())])
+        ),
+    )
 
 
 def is_rooted_path(g: Graph, u: int) -> bool:

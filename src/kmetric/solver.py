@@ -14,11 +14,14 @@ keeps the pairs on a common distance sphere around a root
 (``sphere_pairs``).  One builder, ``_pair_masks``, makes the row of every
 pair as an int bitset over the vertices, from bit planes of the distances:
 with ``P_b[u]`` the vertices w for which bit b of d(u, w) is set
-(``DistanceMatrix.planes``, computed once per matrix), ``P_b[u] ^ P_b[v]``
-holds the vertices whose distances from u and v differ in bit b, so the
-row of (u, v) is the OR of those XORs over the diameter's bits.
+(``DistanceMatrix.planes``, the form the distances come in),
+``P_b[u] ^ P_b[v]`` holds the vertices whose distances from u and v differ
+in bit b, so the row of (u, v) is the OR of those XORs over the diameter's
+bits.
 ``max_k``, ``distinguishers`` and both model builders call it, and the
-solver and the oracle read the same instance.
+solver and the oracle read the same instance.  No model reads the table of
+hop counts (``DistanceMatrix.d``): the rooted family spells only its roots'
+rows from the planes, so neither family builds the n-by-n table.
 
 The rows of a family depend on the distances alone, not on k, and so does
 the dominance prune: a row that is a superset of another is implied at
@@ -232,9 +235,9 @@ def _pair_masks(dm: DistanceMatrix, pairs=None) -> Iterator[int]:
 
     ``None`` means every pair (i, j), i < j, in lexicographic order; other
     pairs come as a sequence.  The XOR of two rows of one bit plane
-    (``DistanceMatrix.planes``) holds the vertices whose distances from u
-    and v differ in that bit, so the row of (u, v) is the OR of its XORs
-    over the planes.
+    (``DistanceMatrix.planes``, which the all-pairs sweep writes) holds the
+    vertices whose distances from u and v differ in that bit, so the row of
+    (u, v) is the OR of its XORs over the planes.
     """
     if pairs is None:
         diffs = (starmap(xor, combinations(plane, 2)) for plane in dm.planes)
@@ -338,13 +341,14 @@ def sphere_pairs(rg: RootedGraph, dm: DistanceMatrix) -> tuple[tuple[int, int], 
     """Deduplicated pairs lying on a common distance sphere around a root.
 
     A sphere is the set of vertices at one exact distance >= 1 from a root.
-    ``dm`` must be the distance matrix of ``rg.graph``; one of another
-    vertex count raises ValueError.
+    Only the roots' rows are spelled from ``dm``'s planes.  ``dm`` must be
+    the distance matrix of ``rg.graph``; one of another vertex count raises
+    ValueError.
     """
     dm = _distances_of(rg.graph, dm)
     pairs: set[tuple[int, int]] = set()
     for u in rg.roots:
-        row = dm.d[u]
+        row = dm.distances_from(u)
         spheres: list[list[int]] = [[] for _ in range(max(row) + 1)]
         for w, d in enumerate(row):
             spheres[d].append(w)

@@ -8,6 +8,7 @@ from kmetric.graphs import (
     IndexOutOfRangeError,
     SelfLoopError,
     all_pairs_distances,
+    bfs_distances,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -15,7 +16,7 @@ from kmetric.graphs import (
     is_rooted_path,
     path_graph,
 )
-from kmetric.catalog import random_connected_graph, random_tree
+from kmetric.catalog import connected_graphs, random_connected_graph, random_tree
 
 from util import tree_path_length
 
@@ -57,6 +58,60 @@ class TestBuildGraph:
             g.with_labels(["only-one"])
 
 
+def bfs_table(g):
+    return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
+
+
+def bfs_planes(table):
+    """planes[b][u] read off a table of hop counts, bit by bit."""
+    depth = max(1, max(map(max, table)).bit_length())
+    return tuple(
+        tuple(sum(1 << w for w, x in enumerate(row) if x >> b & 1) for row in table) for b in range(depth)
+    )
+
+
+def lollipop(clique: int, tail: int):
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+    return build_graph(clique + tail, edges)
+
+
+class TestSweepAgainstBFS:
+    """The all-pairs sweep's planes, and the table spelled from them, against
+    one plain BFS per source."""
+
+    @staticmethod
+    def check(g):
+        table = bfs_table(g)
+        dm = all_pairs_distances(g)
+        assert dm.planes == bfs_planes(table)
+        assert dm.d == table
+
+    def test_catalog(self):
+        for g in connected_graphs():
+            self.check(g)
+
+    def test_random(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            self.check(random_connected_graph(rng, rng.randint(8, 40)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(2),
+            path_graph(500),
+            complete_graph(200),
+            build_graph(400, [(0, v) for v in range(1, 400)]),  # K_{1,399}
+            lollipop(150, 150),
+            cycle_graph(600),
+        ],
+        ids=["K_2", "P_500", "K_200", "K_1,399", "lollipop", "C_600"],
+    )
+    def test_extreme_shapes(self, g):
+        self.check(g)
+
+
 class TestDistances:
     def test_p3_matrix(self):
         dm = all_pairs_distances(path_graph(3))
@@ -73,7 +128,8 @@ class TestDistances:
         assert dm.planes == ((0b010, 0b101, 0b010), (0b100, 0b000, 0b001))
 
     def test_c600_planes_rebuild_every_distance(self):
-        # A diameter of 300 takes nine planes, the ninth from the high byte.
+        # A diameter of 300 takes nine planes, so d is spelled from a second
+        # byte of planes.
         dm = all_pairs_distances(cycle_graph(600))
         assert len(dm.planes) == 9
         for u in range(600):

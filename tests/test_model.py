@@ -4,7 +4,9 @@ Every row mask is checked against a brute-force scan of the distance
 matrix, for the full model and the rooted (sphere-pair) model, on random
 connected graphs, on catalog graphs and on graphs whose diameter needs
 more than one byte.  The dominance prune and the columns it builds are
-checked against pairwise and per-bit references.
+checked against pairwise and per-bit references.  The models read only the
+bit planes, so building and solving them must leave the distance matrix's
+table of hop counts unbuilt.
 """
 
 import random
@@ -17,15 +19,19 @@ from hypothesis import strategies as st
 
 from kmetric.catalog import connected_graphs
 from kmetric.chemgen import armchair, nanotube
-from kmetric.graphs import all_pairs_distances, build_graph, cycle_graph, path_graph
-from kmetric.products import RootedGraph
+from kmetric.graphs import all_pairs_distances, bfs_distances, build_graph, cycle_graph, path_graph
+from kmetric.products import RootedGraph, hierarchical_distance, hierarchical_product
 from kmetric.solver import (
     INFINITE,
     _prune_dominated,
     build_instance_full,
     build_instance_rooted,
+    dim_k,
+    dim_k_rooted,
     distinguishers,
+    is_k_generator,
     max_k,
+    representation,
     sphere_pairs,
 )
 
@@ -86,6 +92,54 @@ def test_rooted_model_matches_brute_force(data, g, k):
     expected = tuple(sorted(pairs))
     assert sphere_pairs(rg, dm) == expected
     check_rows(inst, dm, expected)
+
+
+def reference_sphere_pairs(g, roots):
+    pairs = set()
+    for u in roots:
+        row = bfs_distances(g, u)
+        pairs.update((x, y) for x, y in combinations(range(g.n), 2) if row[x] == row[y] >= 1)
+    return tuple(sorted(pairs))
+
+
+def test_sphere_pairs_match_bfs_rows_on_catalog():
+    for g in connected_graphs():
+        dm = all_pairs_distances(g)
+        for roots in ((0,), (0, g.n - 1)) if g.n > 1 else ((0,),):
+            assert sphere_pairs(RootedGraph(g, roots), dm) == reference_sphere_pairs(g, roots)
+        assert "d" not in vars(dm)
+
+
+def test_models_never_build_the_distance_table():
+    # The models read the planes alone, so max_k and full and rooted solves
+    # leave the n-by-n table of hop counts unbuilt.
+    g = armchair(7).graph
+    dm = all_pairs_distances(g)
+    top = max_k(dm)
+    assert dim_k(g, 1, dm).value == 2
+    assert dim_k(g, top + 1, dm).value == INFINITE
+    rg = RootedGraph(g, (0, 5))
+    assert dim_k_rooted(rg, 2, dm).basis
+    assert "d" not in vars(dm)
+    # The table built afterwards still reads the graph's distances.
+    rows = [bfs_distances(g, u) for u in range(g.n)]
+    rng = random.Random(7)
+    for _ in range(200):
+        i, j = rng.randrange(g.n), rng.randrange(g.n)
+        assert dm[i, j] == rows[i][j]
+    assert all(dm.row(u) == tuple(rows[u]) for u in range(g.n))
+    landmarks = (3, 40, 77)
+    assert representation(dm, 100, landmarks) == tuple(rows[s][100] for s in landmarks)
+    basis = dim_k(g, 1, dm).basis
+    assert is_k_generator(dm, basis, 1)
+    assert not is_k_generator(dm, basis[:1], 1)
+    h = path_graph(3)
+    product = hierarchical_product(rg, h)
+    dm_h = all_pairs_distances(h)
+    for i in rng.sample(range(product.graph.n), 5):
+        from_i = bfs_distances(product.graph, i)
+        for j in range(product.graph.n):
+            assert hierarchical_distance(rg, dm, dm_h, product.pair_of(i), product.pair_of(j)) == from_i[j]
 
 
 def test_builders_reject_k_below_one():
