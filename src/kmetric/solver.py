@@ -59,16 +59,20 @@ smaller than the current one; so no cover smaller than the incumbent is
 lost.
 
 Each node has one test, the row-packing bound on the vertices it still
-needs.  It walks the levels from k down and adds each row's deficit less
-its members already claimed by the rows taken before it; its first row
-adds the largest deficit of any row.  That sum is the Lagrangian of the
-model's LP relaxation, sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over
-the free vertices v, at the 0/1 multiplier y of the rows that added
-something.  Every y >= 0 gives a lower bound, and this one is a sum of
-integers, so no rounding error can cut a node that holds an optimal
-cover.  A row walked with fewer free members than its deficit cannot be
-completed, and the bound is then infinite.  A node is cut when its bound
-does not fit under the incumbent.
+needs.  Every y >= 0 gives the Lagrangian of the model's LP relaxation,
+sum_r d_r y_r - sum_v (sum_{r ∋ v} y_r - 1)^+ over the free vertices v, as
+a lower bound, and one walk over the levels from k down evaluates it at
+two multipliers.  The unit packing puts y_r = 1 on each row whose deficit
+exceeds its members claimed by the rows taken before it, and adds the
+difference; its first row adds the largest deficit of any row.  The
+one-third packing puts y_r = 1/3 on each row whose deficit exceeds its
+members already in three taken rows, so a vertex sits in three taken rows
+free of charge, and the differences sum to three times its Lagrangian.
+Both sums are integers, so no rounding error can cut a node that holds an
+optimal cover; the bound is the larger of the unit sum and the one-third
+sum divided by 3, rounded up.  A row walked with fewer free members than
+its deficit cannot be completed, and the bound is then infinite.  A node
+is cut when its bound does not fit under the incumbent.
 
 The reported basis is the lexicographically smallest optimal cover, found
 by fixing x_0, x_1, ... in turn (``_Search.lex_smallest``): each vertex is
@@ -436,7 +440,9 @@ class _Search:
     ``free & ~dominated[u]``: u and the vertices whose rows are all rows of
     u leave ``free``.  ``packing_bound`` is the one node test: it is
     infinite at a node where a deficient row has fewer free members than
-    its deficit, and otherwise a lower bound on the includes still needed.
+    its deficit, and otherwise a lower bound on the includes still needed,
+    the larger of the Lagrangian at the unit and at the one-third row
+    packing, both kept in integers.
     No move is undone: ``run`` saves the state before each include on an
     explicit stack and restores it whole when it backtracks past that
     include, and the stack, not recursion, holds the path, so the depth (up
@@ -466,22 +472,38 @@ class _Search:
         """Row-packing lower bound on the vertices still to include, or
         INFINITE when a deficient row cannot be completed.
 
-        Rows are taken by falling deficit, by index within a level; a row
-        whose slack ``|row & free| - deficit`` is negative ends the walk
-        with INFINITE.  Otherwise a row adds its deficit minus its members
-        already used by the rows taken before it, when that is positive,
-        and its free members then count as used.  The first row adds its
-        whole deficit, the largest of any row.  Stops once the bound
-        reaches ``room``.  A walk that does not stop early also records in
-        ``tight`` the free members of the row of least slack, the first
-        such row in the walk's order; with no deficient row the bound and
-        ``tight`` are 0.
+        A largest deficit d of ``room`` or more is returned before any
+        walk: one row alone needs d more includes.  Otherwise rows are
+        walked by falling deficit, by index within a level; a row whose
+        slack ``|row & free| - deficit`` is negative ends the walk with
+        INFINITE.  The walk evaluates two packings.  In the unit packing a
+        row adds its deficit minus its members already used by the rows
+        taken before it, when that is positive, and its free members then
+        count as used.  In the one-third packing, ``third`` is three times
+        its Lagrangian: a row adds its deficit minus its free members
+        already in three taken rows (``u3``; ``u1`` and ``u2`` hold those
+        in at least one and two), when that is positive, and is then
+        taken.  Stops once the unit sum reaches ``room`` or ``third``
+        exceeds ``3 * room - 3``, that is once ``ceil(third / 3)`` reaches
+        ``room``.  A walk that does not stop early returns the larger of
+        the unit sum and ``ceil(third / 3)``, and records in ``tight`` the
+        free members of the row of least slack, the first such row in the
+        walk's order; with no deficient row the bound and ``tight`` are 0.
         """
-        masks, free = self.masks, self.free
-        bound = used = tight = 0
+        masks, free, level = self.masks, self.free, self.level
+        for top in range(self.k, 0, -1):
+            if level[top]:
+                break
+        else:
+            self.tight = 0
+            return 0
+        if top >= room:
+            return top
+        bound = used = tight = third = u1 = u2 = u3 = 0
+        cut = 3 * room - 3
         least = free.bit_count()  # above the slack of any deficient row
-        for d in range(self.k, 0, -1):
-            for r in _bits(self.level[d]):
+        for d in range(top, 0, -1):
+            for r in _bits(level[d]):
                 m = masks[r]
                 rest = m & free
                 slack = rest.bit_count() - d
@@ -495,8 +517,16 @@ class _Search:
                     if bound >= room:
                         return bound
                     used |= rest
+                gain = d - (rest & u3).bit_count()
+                if gain > 0:
+                    third += gain
+                    if third > cut:
+                        return -(-third // 3)
+                    u3 |= rest & u2
+                    u2 |= rest & u1
+                    u1 |= rest
         self.tight = tight
-        return bound
+        return max(bound, -(-third // 3))
 
     def greedy(self) -> None:
         """Incumbent: include the max-gain vertex, the free vertex in the
@@ -623,8 +653,9 @@ def solve_exact(inst: MulticoverInstance) -> DimResult:
     Infeasibility (a row smaller than the demand) yields value INFINITE; an
     empty row set yields value 0.  Otherwise a greedy incumbent is taken,
     and one branch-and-bound proves the optimum: it branches on the tightest
-    deficient row, cuts nodes with the exact row-packing (integer
-    Lagrangian) bound, and on each exclude also excludes the free vertices
+    deficient row, cuts nodes with the row-packing bound (the LP
+    relaxation's Lagrangian at a unit and at a one-third row packing, both
+    exact in integers), and on each exclude also excludes the free vertices
     the excluded vertex dominates.  The basis is then fixed vertex by
     vertex into the lexicographically smallest optimal cover.
     """

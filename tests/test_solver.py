@@ -50,7 +50,7 @@ FAMILY_GRAPHS = {
 }
 FAMILY_DIMS = {
     ("F42", 4): 8, ("F42", 5): 12, ("F42", 6): 14,
-    ("F43", 1): 5, ("F43", 2): 8, ("F52", 2): 5, ("F62", 3): 6,
+    ("F43", 1): 5, ("F43", 2): 8, ("F43", 3): 12, ("F52", 2): 5, ("F62", 3): 6,
     ("armchair3", 2): 4, ("armchair7", 1): 2,
 }
 
@@ -319,10 +319,10 @@ class TestSolveExact:
     # Node counts of the kernel, per instance.  The test ids carry the count
     # of the same search with the row-packing cut replaced by the largest
     # deficit of one row, which must give the same answer.
-    F41_NODES = {2: 45, 3: 111, 4: 219, 5: 108}
+    F41_NODES = {2: 21, 3: 41, 4: 123, 5: 84}
     POLYHEX_NODES = {
-        (2, 2): 42, (2, 3): 59, (2, 4): 68, (2, 5): 59,
-        (3, 2): 50, (3, 3): 218, (3, 4): 168, (3, 5): 261,
+        (2, 2): 28, (2, 3): 29, (2, 4): 24, (2, 5): 31,
+        (3, 2): 36, (3, 3): 58, (3, 4): 32, (3, 5): 99,
     }
 
     @pytest.mark.parametrize("k, nodes", [(2, 81), (3, 213), (4, 585), (5, 372)])
@@ -356,20 +356,21 @@ class TestSolveExact:
         # The wide-tubes benchmark's one search: 19,900 rows, 666 kept.
         res = dim_k(armchair(11).graph, 1)
         assert res.value == 2 and res.basis == (0, 192)
-        assert res.stats == SolveStats(nodes=257, rows=666, pruned=19234)
+        assert res.stats == SolveStats(nodes=191, rows=666, pruned=19234)
 
     # Bases and search stats of the family solves: search trees over 38 to
     # 444 kept rows.
     FAMILY_SOLVES = {
-        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(2377, 136, 360)),
-        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(13926, 136, 360)),
-        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(8107, 136, 360)),
-        ("F43", 1): ((0, 1, 2, 20, 21), SolveStats(659, 38, 1978)),
-        ("F43", 2): ((4, 5, 20, 21, 36, 37, 52, 53), SolveStats(38508, 38, 1978)),
-        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(3487, 305, 475)),
-        ("F62", 3): ((0, 5, 13, 16, 25, 33), SolveStats(28751, 444, 684)),
-        ("armchair3", 2): ((0, 1, 64, 65), SolveStats(131, 102, 2454)),
-        ("armchair7", 1): ((0, 128), SolveStats(193, 414, 8766)),
+        ("F42", 4): ((2, 3, 10, 11, 18, 19, 26, 27), SolveStats(673, 136, 360)),
+        ("F42", 5): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 18, 26, 27), SolveStats(4522, 136, 360)),
+        ("F42", 6): ((0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 18, 19, 26, 27), SolveStats(2493, 136, 360)),
+        ("F43", 1): ((0, 1, 2, 20, 21), SolveStats(297, 38, 1978)),
+        ("F43", 2): ((4, 5, 20, 21, 36, 37, 52, 53), SolveStats(13938, 38, 1978)),
+        ("F43", 3): ((0, 1, 8, 9, 16, 17, 24, 25, 34, 42, 50, 58), SolveStats(40971, 38, 1978)),
+        ("F52", 2): ((0, 1, 2, 11, 35), SolveStats(1031, 305, 475)),
+        ("F62", 3): ((0, 5, 13, 16, 25, 33), SolveStats(18517, 444, 684)),
+        ("armchair3", 2): ((0, 1, 64, 65), SolveStats(127, 102, 2454)),
+        ("armchair7", 1): ((0, 128), SolveStats(127, 414, 8766)),
     }
 
     @pytest.mark.parametrize("name, k", sorted(FAMILY_DIMS))
@@ -570,6 +571,22 @@ def test_packing_bound_is_zero_with_no_deficient_row(k):
     assert search.level[0] == search.all_rows
     assert search.packing_bound(INFINITE) == 0
     assert search.tight == 0
+
+
+def test_one_third_packing_cuts_where_the_unit_packing_does_not():
+    # The seven lines of the Fano plane at demand 1.  Any two lines meet,
+    # so the unit packing takes one line and bounds the node by 1.  Each
+    # point lies on three lines, so the multiplier 1/3 on every line
+    # charges no point: 7/3, rounded up to 3, the optimum (a line).
+    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    model = _PairModel(7, tuple(sum(1 << v for v in line) for line in lines))
+    search = _Search(model, 1)
+    assert oracle_solve(MulticoverInstance(model, 1)).value == 3
+    assert search.packing_bound(INFINITE) == 3
+    assert search.packing_bound(3) >= 3  # cut under an incumbent of 3
+    search.best_value = 3
+    search.run(False)
+    assert (search.nodes, search.best_value) == (1, 3)
 
 
 def test_run_from_uncompletable_node_stops_at_once():
