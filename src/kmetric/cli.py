@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: dim, maxk, product, gen, bound, verify-table, export-dot.
+Each kind of product, gen and bound takes only the flags it reads.
 Vertex labels in human-readable output are 1-based (v1, v2, ...); file
 formats and command-line vertex arguments are 0-based.  Exit codes: 0
 success (an infinite dimension is an answer, not a failure), 2 an input
 file that cannot be read or parsed, or a command line that argparse
-rejects (a missing ``--k``, an unknown option), 3 an invalid k, missing or
-invalid roots / factor files / parameters, or an output file that cannot
-be written, 4 internal consistency failure (oracle or distance-formula
+rejects (a missing ``--k``, ``--graph``, ``--second``, ``--roots`` or
+second factor, an unknown option, or a flag the kind does not read), 3 an
+invalid k, invalid roots or parameters, or an output file that cannot be
+written, 4 internal consistency failure (oracle or distance-formula
 mismatch, never expected).
 """
 
@@ -19,6 +21,7 @@ import json
 import sys
 import time
 from functools import cache, partial
+from itertools import combinations
 
 from . import bounds as bnd
 from . import chemgen
@@ -68,9 +71,13 @@ def _digest(g: Graph) -> str:
     return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
 
 
-def _append_log(path: str, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _log_run(args, g: Graph, k, result, elapsed: float) -> None:
+    """Append a --log record; without --log nothing of it is built, ``result()`` included."""
+    if args.log:
+        record = {"command": args.command, "argv": args.argv, "digest": _digest(g),
+                  "k": k, "result": result(), "wall_time": elapsed}
+        with open(args.log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _format_basis(basis) -> str:
@@ -109,15 +116,7 @@ def cmd_dim(args) -> int:
         )
     elapsed = time.perf_counter() - started
     _print_dim(res, args.json)
-    if args.log:
-        _append_log(args.log, {
-            "command": "dim",
-            "argv": args.argv,
-            "digest": _digest(g),
-            "k": args.k,
-            "result": res.to_json_dict(),
-            "wall_time": elapsed,
-        })
+    _log_run(args, g, args.k, res.to_json_dict, elapsed)
     return 0
 
 
@@ -133,62 +132,50 @@ def cmd_maxk(args) -> int:
                          sort_keys=True))
     else:
         print(f"max_k = {text}")
-    if args.log:
-        _append_log(args.log, {
-            "command": "maxk",
-            "argv": args.argv,
-            "digest": _digest(g),
-            "k": None,
-            "result": {"max_k": text},
-            "wall_time": elapsed,
-        })
+    _log_run(args, g, None, lambda: {"max_k": text}, elapsed)
     return 0
 
 
-def _emit_graph(args, g: Graph) -> None:
+def _emit_graph(args, g: Graph) -> int:
     text = graph_to_dot(g) if args.dot else graph_to_text(g)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def cmd_product(args) -> int:
-    if (args.second is None) != (args.mode == "bridge"):
-        needs = "takes no" if args.mode == "bridge" else "needs a"
-        raise CliError(f"{args.mode} product {needs} second factor file", EXIT_INVALID)
-    if args.mode == "hier":
-        if args.roots is None:
-            raise CliError("hier product needs --roots", EXIT_INVALID)
-        g = _load_graph(args.graph)
-        h = _load_graph(args.second)
-        rg = RootedGraph(g, _parse_roots(args.roots))
-        product = hierarchical_product(rg, h)
-        if args.check_prop1:
-            dm_g = all_pairs_distances(g)
-            dm_h = all_pairs_distances(h)
-            dm_x = all_pairs_distances(product.graph)
-            for i in range(product.graph.n):
-                for j in range(i + 1, product.graph.n):
-                    formula = hierarchical_distance(
-                        rg, dm_g, dm_h, product.pair_of(i), product.pair_of(j)
-                    )
-                    if formula != dm_x[i, j]:
-                        raise CliError(
-                            f"distance formula mismatch at {i},{j}: "
-                            f"{formula} vs BFS {dm_x[i, j]}",
-                            EXIT_MISMATCH,
-                        )
-        out = product.graph
-    elif args.mode in ("splice", "link"):
-        g = _load_graph(args.graph)
-        h = _load_graph(args.second)
-        out = splice(g, args.a, h, args.b) if args.mode == "splice" else link(g, args.a, h, args.b)
-    else:  # bridge
-        out = chemgen.bridge_path_uniform(_load_graph(args.graph), args.root, args.d)
-    _emit_graph(args, out)
     return 0
+
+
+def _factors(args) -> tuple[Graph, Graph]:
+    return _load_graph(args.graph), _load_graph(args.second)
+
+
+def cmd_hier(args) -> int:
+    g, h = _factors(args)
+    rg = RootedGraph(g, _parse_roots(args.roots))
+    product = hierarchical_product(rg, h)
+    if args.check_prop1:
+        dm_g, dm_h, dm_x = map(all_pairs_distances, (g, h, product.graph))
+        for i, j in combinations(range(product.graph.n), 2):
+            formula = hierarchical_distance(rg, dm_g, dm_h, product.pair_of(i), product.pair_of(j))
+            if formula != dm_x[i, j]:
+                raise CliError(f"distance formula mismatch at {i},{j}: "
+                               f"{formula} vs BFS {dm_x[i, j]}", EXIT_MISMATCH)
+    return _emit_graph(args, product.graph)
+
+
+# splice and link share one parser, so they are told apart by the name typed.
+JOINS = {"splice": splice, "link": link}
+
+
+def cmd_join(args) -> int:
+    g, h = _factors(args)
+    return _emit_graph(args, JOINS[args.mode](g, args.a, h, args.b))
+
+
+def cmd_bridge(args) -> int:
+    g = _load_graph(args.graph)
+    return _emit_graph(args, chemgen.bridge_path_uniform(g, args.root, args.d))
 
 
 # kmetric gen's families.  Each builder is looked up on chemgen when it is
@@ -202,53 +189,50 @@ FAMILIES = {
 
 
 def cmd_gen(args) -> int:
-    _emit_graph(args, FAMILIES[args.family](args).graph)
+    return _emit_graph(args, FAMILIES[args.family](args).graph)
+
+
+def _print_report(report: bnd.BoundReport, as_json: bool) -> int:
+    if as_json:
+        print(json.dumps(report.to_json_dict(), sort_keys=True))
+    elif not report.preconditions_met:
+        print(f"{report.kind} bound: hypothesis not met ({report.reason})")
+    elif report.exact is None:
+        print(f"{report.kind} bound: {report.value}")
+    else:
+        print(f"{report.kind} bound: {report.value} (exact {report.exact}, slack {report.slack})")
     return 0
 
 
-def _print_report(report: bnd.BoundReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-        return
-    if not report.preconditions_met:
-        print(f"{report.kind} bound: hypothesis not met ({report.reason})")
-        return
-    line = f"{report.kind} bound: {report.value}"
-    if report.exact is not None:
-        line += f" (exact {report.exact}, slack {report.slack})"
-    print(line)
+def cmd_t1(args) -> int:
+    g, h = _factors(args)
+    rg = RootedGraph(g, _parse_roots(args.roots))
+    return _print_report(bnd.theorem1_upper(rg, h, args.k, compare_exact=args.exact), args.json)
 
 
-def cmd_bound(args) -> int:
-    if args.which in ("t1", "t2", "splice", "link"):
-        if args.graph is None or args.second is None:
-            raise CliError(f"{args.which} bound needs --graph and --second", EXIT_INVALID)
-        g = _load_graph(args.graph)
-        h = _load_graph(args.second)
-    if args.which == "t1":
-        if args.roots is None:
-            raise CliError("t1 bound needs --roots", EXIT_INVALID)
-        rg = RootedGraph(g, _parse_roots(args.roots))
-        report = bnd.theorem1_upper(rg, h, args.k, compare_exact=args.exact)
-    elif args.which == "t2":
-        report = bnd.theorem2_exact(g, args.root, h, args.k, compare_exact=args.exact)
-    elif args.which in ("splice", "link"):
-        report = bnd.splice_link_lower(
-            g, args.a, h, args.b, args.k, mode=args.which, compare_exact=args.exact
-        )
-    elif args.which == "cycle-rooted":
-        print(bnd.cycle_rooted_formula(args.p, args.k))
-        return 0
-    elif args.which == "path-rooted":
-        print(bnd.path_rooted_formula(args.p, args.k))
-        return 0
-    elif args.which == "nanotube":
-        print(bnd.nanotube_bound(args.p, args.q, args.k))
-        return 0
-    else:  # polyhex
-        print(bnd.polyhex_bound(args.p, args.k))
-        return 0
-    _print_report(report, args.json)
+def cmd_t2(args) -> int:
+    g, h = _factors(args)
+    report = bnd.theorem2_exact(g, args.root, h, args.k, compare_exact=args.exact)
+    return _print_report(report, args.json)
+
+
+def cmd_join_bound(args) -> int:
+    g, h = _factors(args)
+    report = bnd.splice_link_lower(g, args.a, h, args.b, args.k, args.which, args.exact)
+    return _print_report(report, args.json)
+
+
+# kmetric bound's closed formulas, by the name typed.
+FORMULAS = {
+    "cycle-rooted": lambda a: bnd.cycle_rooted_formula(a.p, a.k),
+    "path-rooted": lambda a: bnd.path_rooted_formula(a.p, a.k),
+    "polyhex": lambda a: bnd.polyhex_bound(a.p, a.k),
+    "nanotube": lambda a: bnd.nanotube_bound(a.p, a.q, a.k),
+}
+
+
+def cmd_formula(args) -> int:
+    print(FORMULAS[args.which](args))
     return 0
 
 
@@ -290,8 +274,10 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    _emit_graph(args, _load_graph(args.graph))
-    return 0
+    return _emit_graph(args, _load_graph(args.graph))
+
+
+_flags = partial(argparse.ArgumentParser, add_help=False)
 
 
 @cache
@@ -301,71 +287,85 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact k-metric dimension solver and graph constructors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flag groups that several commands and kinds share through parents=.
+    need_k = _flags()
+    need_k.add_argument("--k", type=int, required=True)
+    as_json = _flags()
+    as_json.add_argument("--json", action="store_true")
+    logged = _flags(parents=[as_json])
+    logged.add_argument("--log", default=None, help="append a JSON run record to this file")
+    emit = _flags()
+    emit.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
+    emit.add_argument("-o", "--output", default="-")
+    factors = _flags()
+    factors.add_argument("graph", help="first factor edge-list file")
+    factors.add_argument("second", help="second factor edge-list file")
+    theorem = _flags(parents=[need_k, as_json])
+    theorem.add_argument("--graph", required=True, help="first factor edge-list file")
+    theorem.add_argument("--second", required=True, help="second factor edge-list file")
+    theorem.add_argument("--exact", action="store_true",
+                         help="also solve exactly and report the slack")
+    roots = _flags()
+    roots.add_argument("--roots", required=True, help="0-based roots of the first factor")
+    joint = _flags()
+    joint.add_argument("-a", type=int, default=0, help="splice/link vertex in the first factor")
+    joint.add_argument("-b", type=int, default=0, help="splice/link vertex in the second factor")
+    with_p = _flags()
+    with_p.add_argument("--p", type=int, default=2)
+    with_pq = _flags(parents=[with_p])
+    with_pq.add_argument("--q", type=int, default=1, help="nanotube doubling stages")
 
-    p_dim = sub.add_parser("dim", help="k-metric dimension of a graph file")
+    p_dim = sub.add_parser("dim", parents=[need_k, logged],
+                           help="k-metric dimension of a graph file")
     p_dim.add_argument("graph")
-    p_dim.add_argument("--k", type=int, required=True)
     p_dim.add_argument("--rooted", metavar="U", default=None,
                        help="comma-separated 0-based root indices; compute dim_k(G(U))")
     p_dim.add_argument("--oracle", action="store_true",
                        help="cross-check against the exhaustive oracle")
     p_dim.add_argument("--oracle-limit", type=int, default=ORACLE_SIZE_LIMIT)
-    p_dim.add_argument("--json", action="store_true")
-    p_dim.add_argument("--log", default=None, help="append a JSON run record to this file")
     p_dim.set_defaults(func=cmd_dim)
 
-    p_maxk = sub.add_parser("maxk", help="largest k admitting a k-metric generator")
+    p_maxk = sub.add_parser("maxk", parents=[logged],
+                            help="largest k admitting a k-metric generator")
     p_maxk.add_argument("graph")
-    p_maxk.add_argument("--json", action="store_true")
-    p_maxk.add_argument("--log", default=None)
     p_maxk.set_defaults(func=cmd_maxk)
 
-    p_prod = sub.add_parser("product", help="construct a product graph")
-    p_prod.add_argument("mode", choices=["hier", "splice", "link", "bridge"])
-    p_prod.add_argument("graph", help="first factor edge-list file")
-    p_prod.add_argument("second", nargs="?", default=None,
-                        help="second factor file (hier/splice/link)")
-    p_prod.add_argument("--roots", default=None, help="0-based roots of the first factor (hier)")
-    p_prod.add_argument("-a", type=int, default=0, help="splice/link vertex in the first factor")
-    p_prod.add_argument("-b", type=int, default=0, help="splice/link vertex in the second factor")
-    p_prod.add_argument("--root", type=int, default=0, help="bridge root vertex")
-    p_prod.add_argument("--d", type=int, default=2, help="bridge copy count")
-    p_prod.add_argument("--check-prop1", action="store_true",
-                        help="verify the product distance formula pairwise (hier only)")
-    p_prod.add_argument("--dot", action="store_true", help="emit DOT instead of edge list")
-    p_prod.add_argument("-o", "--output", default="-")
-    p_prod.set_defaults(func=cmd_product)
+    kinds = sub.add_parser("product", help="construct a product graph").add_subparsers(
+        dest="mode", required=True)
+    p_hier = kinds.add_parser("hier", parents=[factors, roots, emit])
+    p_hier.add_argument("--check-prop1", action="store_true",
+                        help="verify the product distance formula pairwise")
+    p_hier.set_defaults(func=cmd_hier)
+    kinds.add_parser("splice", aliases=["link"], parents=[factors, joint, emit]).set_defaults(
+        func=cmd_join)
+    p_bridge = kinds.add_parser("bridge", parents=[emit])
+    p_bridge.add_argument("graph", help="edge-list file of the rooted graph")
+    p_bridge.add_argument("--root", type=int, default=0, help="bridge root vertex")
+    p_bridge.add_argument("--d", type=int, default=2, help="bridge copy count")
+    p_bridge.set_defaults(func=cmd_bridge)
 
-    p_gen = sub.add_parser("gen", help="generate a chemical graph family member")
-    p_gen.add_argument("family", choices=list(FAMILIES))
-    p_gen.add_argument("--p", type=int, default=2)
-    p_gen.add_argument("--q", type=int, default=1, help="nanotube doubling stages")
-    p_gen.add_argument("--levels", type=int, default=3, help="polyhex-stack/armchair rows (2^j - 1)")
-    p_gen.add_argument("--dot", action="store_true")
-    p_gen.add_argument("-o", "--output", default="-")
-    p_gen.set_defaults(func=cmd_gen)
+    kinds = sub.add_parser("gen", help="generate a chemical graph family member").add_subparsers(
+        dest="family", required=True)
+    kinds.add_parser("nanotube", parents=[with_pq, emit]).set_defaults(func=cmd_gen)
+    kinds.add_parser("polyhex", parents=[with_p, emit]).set_defaults(func=cmd_gen)
+    p_stack = kinds.add_parser("polyhex-stack", aliases=["armchair"], parents=[with_p, emit])
+    p_stack.add_argument("--levels", type=int, default=3, help="rows (2^j - 1)")
+    p_stack.set_defaults(func=cmd_gen)
 
-    p_bound = sub.add_parser("bound", help="theorem bounds and closed formulas")
-    p_bound.add_argument("which", choices=[
-        "t1", "t2", "splice", "link", "cycle-rooted", "path-rooted", "nanotube", "polyhex",
-    ])
-    p_bound.add_argument("--graph", default=None)
-    p_bound.add_argument("--second", default=None)
-    p_bound.add_argument("--roots", default=None)
-    p_bound.add_argument("--root", type=int, default=0)
-    p_bound.add_argument("-a", type=int, default=0)
-    p_bound.add_argument("-b", type=int, default=0)
-    p_bound.add_argument("--k", type=int, required=True)
-    p_bound.add_argument("--p", type=int, default=2)
-    p_bound.add_argument("--q", type=int, default=1)
-    p_bound.add_argument("--exact", action="store_true",
-                         help="also solve exactly and report the slack")
-    p_bound.add_argument("--json", action="store_true")
-    p_bound.set_defaults(func=cmd_bound)
+    kinds = sub.add_parser("bound", help="theorem bounds and closed formulas").add_subparsers(
+        dest="which", required=True)
+    kinds.add_parser("t1", parents=[theorem, roots]).set_defaults(func=cmd_t1)
+    p_t2 = kinds.add_parser("t2", parents=[theorem])
+    p_t2.add_argument("--root", type=int, default=0, help="root vertex of the first factor")
+    p_t2.set_defaults(func=cmd_t2)
+    kinds.add_parser("splice", aliases=["link"], parents=[theorem, joint]).set_defaults(
+        func=cmd_join_bound)
+    kinds.add_parser("cycle-rooted", aliases=["path-rooted", "polyhex"],
+                     parents=[need_k, with_p]).set_defaults(func=cmd_formula)
+    kinds.add_parser("nanotube", parents=[need_k, with_pq]).set_defaults(func=cmd_formula)
 
-    p_table = sub.add_parser("verify-table",
-                             help="reproduce the reference dimension table")
-    p_table.set_defaults(func=cmd_verify_table)
+    sub.add_parser("verify-table", help="reproduce the reference dimension table").set_defaults(
+        func=cmd_verify_table)
 
     p_dot = sub.add_parser("export-dot", help="convert an edge-list file to DOT")
     p_dot.add_argument("graph")

@@ -95,7 +95,7 @@ from functools import partial, reduce
 from itertools import chain, combinations, compress, count, starmap
 from operator import or_, xor
 
-from .graphs import DistanceMatrix, Graph, IndexOutOfRangeError, all_pairs_distances
+from .graphs import _BIT, DistanceMatrix, Graph, IndexOutOfRangeError, all_pairs_distances
 from .products import RootedGraph
 
 INFINITE = math.inf
@@ -632,14 +632,11 @@ class _Search:
         self.level, self.free = root
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of a non-negative mask, ascending."""
     # bin() spells the bits high to low; reversed and turned into 0/1 bytes
     # they select their own indices.
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT))
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:

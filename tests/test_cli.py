@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -200,7 +203,10 @@ class TestProductCommand:
         assert g.n == 12 and g.num_edges == 14
 
     def test_missing_second_factor(self, c4_file):
-        assert main(["product", "splice", c4_file]) == 3
+        # splice's second factor is a required positional, so argparse refuses.
+        with pytest.raises(SystemExit) as exc:
+            main(["product", "splice", c4_file])
+        assert exc.value.code == 2
 
     def test_output_file(self, c4_file, tmp_path):
         out = tmp_path / "out.txt"
@@ -256,6 +262,10 @@ class TestBoundCommand:
         assert capsys.readouterr().out.strip() == "6"
         assert main(["bound", "polyhex", "--p", "7", "--k", "10"]) == 0
         assert capsys.readouterr().out.strip() == "22"
+        assert main(["bound", "path-rooted", "--p", "5", "--k", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+        assert main(["bound", "nanotube", "--p", "4", "--q", "1", "--k", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "6"
 
     def test_formula_out_of_range(self, capsys):
         assert main(["bound", "cycle-rooted", "--p", "4", "--k", "8"]) == 3
@@ -290,17 +300,63 @@ class TestBoundCommand:
     ["bound", "link", "--k", "1"],
     ["bound", "t2", "--graph", "{c4}", "--k", "1"],
     ["bound", "t1", "--graph", "{c4}", "--second", "{c4}", "--k", "1"],
+    ["product", "bridge", "{c4}", "{c4}"],
 ])
 def test_missing_file_or_roots_is_invalid(argv, c4_file, capsys):
-    assert main([a.format(c4=c4_file) for a in argv]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    # A missing --graph, --second or --roots, like a missing --k, and a
+    # second file given to bridge, which takes none, are argparse's errors.
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(c4=c4_file) for a in argv])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("which", ["t1", "t2", "splice", "link", "cycle-rooted", "nanotube"])
+# The flags each bound kind reads besides --k.
+BOUND_FLAGS = {
+    "t1": ["--graph", "{c4}", "--second", "{c4}", "--roots", "0"],
+    "t2": ["--graph", "{c4}", "--second", "{c4}"],
+    "splice": ["--graph", "{c4}", "--second", "{c4}"],
+    "link": ["--graph", "{c4}", "--second", "{c4}"],
+    "cycle-rooted": [],
+    "nanotube": [],
+}
+
+
+@pytest.mark.parametrize("which", list(BOUND_FLAGS))
 def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
-    argv = ["bound", which, "--graph", c4_file, "--second", c4_file, "--roots", "0", "--k", "0"]
+    argv = ["bound", which, *(a.format(c4=c4_file) for a in BOUND_FLAGS[which]), "--k", "0"]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "polyhex", "--q", "2"],
+    ["bound", "nanotube", "--k", "1", "--json"],
+    ["bound", "t2", "--graph", "{c4}", "--second", "{c4}", "--k", "1", "--roots", "0"],
+    ["product", "bridge", "{c4}", "--roots", "0"],
+    ["product", "hier", "{c4}", "{c4}", "--roots", "0", "-a", "1"],
+], ids=["gen-polyhex-q", "bound-nanotube-json", "bound-t2-roots", "product-bridge-roots",
+        "product-hier-a"])
+def test_flag_the_kind_does_not_read_exits_2(argv, c4_file, capsys):
+    # Each of these flags was accepted and ignored when product, gen and
+    # bound shared one flag set across their kinds.
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(c4=c4_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_parse():
+    # Parsing opens no file, so the README's placeholder file names need not exist.
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("kmetric ")]
+    assert len(lines) >= 15
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,13 +368,10 @@ def test_bound_k_below_one_is_invalid(which, c4_file, capsys):
     ["gen", "polyhex", "--p", "2", "-o", "{missing}/x"],
     ["product", "bridge", "{c4}", "-o", "{missing}/x"],
     ["maxk", "{c4}", "--log", "{missing}/l"],
-    ["product", "bridge", "{c4}", "{missing}/second"],
 ])
 def test_library_and_output_errors_are_invalid(argv, c4_file, tmp_path, capsys):
     # The range checks are the library's and an unwritable output is an
     # OSError; main turns each into exit 3 and one line, not a traceback.
-    # A second file given to bridge, which takes none, is refused the same
-    # way instead of being ignored.
     missing = tmp_path / "missing"
     assert main([a.format(c4=c4_file, missing=missing) for a in argv]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -344,3 +397,56 @@ class TestRoundTrip:
         main(["gen", "nanotube", "--p", "3", "--q", "1"])
         text = capsys.readouterr().out
         assert graph_to_text(graph_from_text(text)) == text
+
+
+# CLI answers on graphs wider or deeper than any other test's, run in
+# process: (how the file is made, its sha256 or None, [(argv, stdout)]).  A
+# generated file's digest pins the generator's numbering and labels too.
+# No timing is asserted.
+CLI_PINS = {
+    # n = 520 and 134,940 pair rows, wider than any workload: rows, pruning, columns.
+    "armchair31": (["gen", "armchair", "--p", "31"],
+                   "d2a1c854dc5bcdac4a2d0988a48c30b4b300ab90cdc07fb9641b3cb1805f605a", [
+        (["dim", "--k", "1", "--json"], '{"basis": [1, 513], "dim": 2, "infinite": false, "k": 1, "optimal": true, "stats": {"nodes": 511, "pruned": 133014, "rows": 1926}}'),
+        (["maxk", "--json"], '{"infinite": false, "max_k": 93}'),
+    ]),
+    # F_{p,2} has no dominated column: the branching rule and node bound alone.
+    "F52-k3": (["gen", "nanotube", "--p", "5", "--q", "2"],
+               "4a54063a6a0307232f533a90a71fe259e26d769696442585d50e70627e709765", [
+        (["dim", "--k", "3", "--json"], '{"basis": [1, 2, 3, 5, 6, 29, 30], "dim": 7, "infinite": false, "k": 3, "optimal": true, "stats": {"nodes": 10763, "pruned": 475, "rows": 305}}'),
+    ]),
+    # The solve where excluding the vertices a vertex dominates cuts the most.
+    "F43-k2": (["gen", "nanotube", "--p", "4", "--q", "3"],
+               "bec7ae2444f96bc2b5dfe8393c1fde5b1586b97ba91245ce5e7d3371503df0b7", [
+        (["dim", "--k", "2", "--json"], '{"basis": [5, 6, 21, 22, 37, 38, 53, 54], "dim": 8, "infinite": false, "k": 2, "optimal": true, "stats": {"nodes": 13938, "pruned": 1978, "rows": 38}}'),
+    ]),
+    # The largest search tree pinned anywhere.
+    "F43-k3": (["gen", "nanotube", "--p", "4", "--q", "3"],
+               "bec7ae2444f96bc2b5dfe8393c1fde5b1586b97ba91245ce5e7d3371503df0b7", [
+        (["dim", "--k", "3", "--json"], '{"basis": [1, 2, 9, 10, 17, 18, 25, 26, 35, 43, 51, 59], "dim": 12, "infinite": false, "k": 3, "optimal": true, "stats": {"nodes": 40971, "pruned": 1978, "rows": 38}}'),
+    ]),
+    # Diameter 300 takes nine bit planes: all 179,700 rows cross a byte boundary.
+    "C600": (lambda: cycle_graph(600), None, [
+        (["dim", "--k", "1", "--json"], '{"basis": [1, 2], "dim": 2, "infinite": false, "k": 1, "optimal": true, "stats": {"nodes": 593, "pruned": 179400, "rows": 300}}'),
+        (["maxk", "--json"], '{"infinite": false, "max_k": 598}'),
+    ]),
+    # The all-pairs sweep pads each leaf's 298 spare neighbour slots with the empty ball.
+    "star299": (lambda: build_graph(300, [(0, v) for v in range(1, 300)]), None, [
+        (["maxk", "--json"], '{"infinite": false, "max_k": 2}'),
+    ]),
+}
+
+
+@pytest.mark.parametrize("pin", list(CLI_PINS))
+def test_pinned_cli_answers(pin, tmp_path, capsys):
+    make, digest, runs = CLI_PINS[pin]
+    path = tmp_path / "graph.txt"
+    if callable(make):
+        write_graph(path, make())
+    else:
+        assert main([*make, "-o", str(path)]) == 0
+    if digest is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    for argv, expected in runs:
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert capsys.readouterr().out == expected + "\n"
